@@ -18,7 +18,7 @@ import mpmath
 from mpmath import mpf
 
 from .ladder import LadderData, ode_coeffs
-from .numkernel import Poly, SymMatrix, cholesky_pd, poly_roots, sym_eigen, tol
+from .numkernel import Poly, SymMatrix, cholesky_pd, poly_roots, sym_eigen, sym_eigenvectors, tol
 from .sobolev import SobolevFamily
 
 # Pole locations closer than this are merged into one charge.
@@ -435,8 +435,7 @@ def _augment_by_eigenvectors(H: SymMatrix, eigs, negative_set, n_neg: int) -> li
     magnitude above 0.9) until the flagged set covers every negative eigenvalue."""
     out = list(negative_set)
     n = H.order
-    A = mpmath.matrix(H.dense())
-    evals, evecs = mpmath.eigsy(A)
+    evals, evecs = sym_eigenvectors(H)
     order = sorted(range(n), key=lambda i: evals[i])
     for rank in range(n_neg):
         col = order[rank]

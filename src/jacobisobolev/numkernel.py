@@ -38,7 +38,11 @@ class SingularSystem(NumKernelError):
 
 
 class EigenFailure(NumKernelError):
-    """Jacobi eigenvalue sweeps failed to converge."""
+    """The symmetric eigensolver failed to converge."""
+
+
+class RootFailure(NumKernelError):
+    """The polynomial root finder failed to converge."""
 
 
 def set_precision(bits: int = DEFAULT_PRECISION_BITS) -> None:
@@ -61,12 +65,6 @@ def tol(frac: int) -> mpf:
 set_precision()
 
 
-def _to_mpf(x) -> mpf:
-    if isinstance(x, str):
-        return mpf(x)
-    return mpf(x)
-
-
 class Poly:
     """Dense real polynomial with ascending-order coefficients.
 
@@ -76,13 +74,14 @@ class Poly:
     by an explicit :meth:`trim`.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("coeffs", "_roots")
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [_to_mpf(c) for c in coeffs]
+        cs = [mpf(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
+        self._roots = None  # (key, roots) memo filled by poly_roots
 
     # -- constructors -------------------------------------------------
 
@@ -106,7 +105,7 @@ class Poly:
     def from_roots(cls, roots: Sequence) -> "Poly":
         p = cls.one()
         for r in roots:
-            p = p * cls((-_to_mpf(r), 1))
+            p = p * cls((-mpf(r), 1))
         return p
 
     # -- basic queries ------------------------------------------------
@@ -129,7 +128,7 @@ class Poly:
             return False
         if rel_tol is None:
             return self.leading == 1
-        return abs(self.leading - 1) <= _to_mpf(rel_tol)
+        return abs(self.leading - 1) <= mpf(rel_tol)
 
     def coeff(self, k: int) -> mpf:
         if 0 <= k < len(self.coeffs):
@@ -160,7 +159,7 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         if not isinstance(other, Poly):
-            c = _to_mpf(other)
+            c = mpf(other)
             return Poly(tuple(c * a for a in self.coeffs))
         if self.is_zero() or other.is_zero():
             return Poly.zero()
@@ -226,7 +225,7 @@ class Poly:
         """Drop leading coefficients smaller than rel_eps * max|coeff|."""
         if self.is_zero():
             return self
-        cut = _to_mpf(rel_eps) * self.max_abs_coeff()
+        cut = mpf(rel_eps) * self.max_abs_coeff()
         cs = list(self.coeffs)
         while cs and abs(cs[-1]) <= cut:
             cs.pop()
@@ -240,7 +239,7 @@ def taylor_poly(f: Poly, y, k: int) -> Poly:
     """Taylor polynomial of degree <= k of f centered at y, in powers of x."""
     if k < 0:
         raise ValueError("Taylor order must be nonnegative")
-    y = _to_mpf(y)
+    y = mpf(y)
     base = Poly((-y, 1))
     out = Poly.zero()
     fact = mpf(1)
@@ -280,7 +279,7 @@ class SymMatrix:
         return self._data[self._idx(i, j)]
 
     def set(self, i: int, j: int, v) -> None:
-        self._data[self._idx(i, j)] = _to_mpf(v)
+        self._data[self._idx(i, j)] = mpf(v)
 
     def dense(self):
         return [[self.get(i, j) for j in range(self.order)] for i in range(self.order)]
@@ -301,50 +300,22 @@ class SymMatrix:
         return out
 
 
-def sym_eigen(M: SymMatrix, max_sweeps: int = 64) -> list:
-    """Eigenvalues of a symmetric matrix via cyclic two-sided Jacobi rotations.
+def _eigsy(M: SymMatrix, eigvals_only: bool):
+    try:
+        return mpmath.eigsy(mpmath.matrix(M.dense()), eigvals_only=eigvals_only)
+    except RuntimeError as exc:
+        raise EigenFailure(str(exc)) from exc
 
-    Returns the eigenvalues sorted ascending.  The off-diagonal residual
-    after the sweeps is below 10^-(precision_digits/2) * ||M||_F.
-    """
-    n = M.order
-    a = M.dense()
-    if n == 1:
-        return [a[0][0]]
-    thresh = tol(2) * max(M.frobenius(), mpf(1))
 
-    def offdiag():
-        s = mpf(0)
-        for i in range(n):
-            for j in range(i + 1, n):
-                s += a[i][j] ** 2
-        return mpmath.sqrt(2 * s)
+def sym_eigen(M: SymMatrix) -> list:
+    """Eigenvalues of a symmetric matrix (mpmath's ``eigsy``), sorted ascending."""
+    return sorted(_eigsy(M, eigvals_only=True))
 
-    for _ in range(max_sweeps):
-        if offdiag() <= thresh:
-            break
-        for p in range(n):
-            for q in range(p + 1, n):
-                if a[p][q] == 0:
-                    continue
-                theta = (a[q][q] - a[p][p]) / (2 * a[p][q])
-                t = mpmath.sign(theta) / (abs(theta) + mpmath.sqrt(theta**2 + 1))
-                if theta == 0:
-                    t = mpf(1)
-                c = 1 / mpmath.sqrt(t**2 + 1)
-                s = t * c
-                for k in range(n):
-                    akp, akq = a[k][p], a[k][q]
-                    a[k][p] = c * akp - s * akq
-                    a[k][q] = s * akp + c * akq
-                for k in range(n):
-                    apk, aqk = a[p][k], a[q][k]
-                    a[p][k] = c * apk - s * aqk
-                    a[q][k] = s * apk + c * aqk
-    else:
-        if offdiag() > thresh:
-            raise EigenFailure("Jacobi sweeps did not converge")
-    return sorted(a[i][i] for i in range(n))
+
+def sym_eigenvectors(M: SymMatrix):
+    """(eigenvalues, eigenvector matrix) of a symmetric matrix, in mpmath's
+    order: column i of the matrix belongs to eigenvalue i."""
+    return _eigsy(M, eigvals_only=False)
 
 
 def solve_dense(A: Sequence[Sequence], b: Sequence) -> list:
@@ -352,7 +323,7 @@ def solve_dense(A: Sequence[Sequence], b: Sequence) -> list:
     n = len(A)
     if any(len(row) != n for row in A) or len(b) != n:
         raise ValueError("dimension mismatch")
-    M = [[_to_mpf(v) for v in row] + [_to_mpf(b[i])] for i, row in enumerate(A)]
+    M = [[mpf(v) for v in row] + [mpf(b[i])] for i, row in enumerate(A)]
     scale = max((abs(v) for row in M for v in row), default=mpf(0))
     pivot_floor = tol(2) * max(scale, mpf(1))
     for col in range(n):
@@ -399,16 +370,26 @@ def poly_roots(p: Poly, snap_tol=None) -> list:
 
     Roots come from mpmath's arbitrary-precision solver and are polished by
     a few Newton steps at working precision.  Near-real roots are snapped to
-    the real axis when |im| < snap_tol * (1 + |re|).
+    the real axis when |im| < snap_tol * (1 + |re|).  The result is memoised
+    on p per (working precision, snap_tol); each call returns a new list.
     """
     if p.is_zero():
         raise DegenerateInput("zero polynomial has no well-defined roots")
     if p.degree < 1:
         return []
-    if snap_tol is None:
-        snap_tol = ROOT_SNAP_TOL
+    snap_tol = ROOT_SNAP_TOL if snap_tol is None else mpf(snap_tol)
+    key = (mp.prec, snap_tol)
+    if p._roots is None or p._roots[0] != key:
+        p._roots = (key, _find_roots(p, snap_tol))
+    return list(p._roots[1])
+
+
+def _find_roots(p: Poly, snap_tol: mpf) -> tuple:
     coeffs_desc = list(reversed(p.coeffs))
-    roots = mpmath.polyroots(coeffs_desc, maxsteps=200, extraprec=mp.prec // 2)
+    try:
+        roots = mpmath.polyroots(coeffs_desc, maxsteps=200, extraprec=mp.prec // 2)
+    except mp.NoConvergence as exc:
+        raise RootFailure(f"degree-{p.degree} root finder: {exc}") from exc
     dp = p.deriv()
     polished = []
     for r in roots:
@@ -425,8 +406,8 @@ def poly_roots(p: Poly, snap_tol=None) -> list:
     out = []
     for z in polished:
         re, im = mpf(z.real), mpf(z.imag)
-        if abs(im) < _to_mpf(snap_tol) * (1 + abs(re)):
+        if abs(im) < snap_tol * (1 + abs(re)):
             im = mpf(0)
         out.append((re, im))
     out.sort(key=lambda t: (t[0], t[1]))
-    return out
+    return tuple(out)

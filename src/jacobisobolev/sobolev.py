@@ -11,7 +11,7 @@ combination of derivative Christoffel-Darboux kernels.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import groupby
 
 import mpmath
 from mpmath import mpf
@@ -329,34 +329,32 @@ def is_sequentially_ordered(product: SobolevProduct):
     """Decide whether the product is sequentially ordered w.r.t. (-1, 1).
 
     Returns (flag, ordering); ordering is the witness list of (c, k) pairs
-    when the flag is true, else None.  Repeated locations are rejected: two
-    active pairs at one point always violate the hull condition as the
-    second occurrence sits on the hull generated by the first.
+    when the flag is true, else None.  The pairs are taken in blocks of
+    ascending order k.  Within a block every point must lie outside the
+    open hull of (-1, 1) and the earlier blocks' points: those left of it
+    come first, in decreasing c, then those right of it, in increasing c,
+    so that no point falls inside the hull grown by its predecessors.
+    Repeated locations are rejected: the second occurrence sits on the hull
+    generated by the first.
     """
     pairs = [(product.points[j].c, k) for j, k, _ in product.active_pairs]
-    by_order = sorted(pairs, key=lambda t: t[1])
-
-    def admissible(seq) -> bool:
-        lo, hi = mpf(-1), mpf(1)
-        seen = set()
-        for c, _ in seq:
-            if lo < c < hi or c in seen:
-                return False
-            seen.add(c)
-            lo, hi = min(lo, c), max(hi, c)
-        return True
-
-    orders = [k for _, k in by_order]
-    if orders != sorted(orders):
+    pairs.sort(key=lambda t: t[1])
+    if len({c for c, _ in pairs}) != len(pairs):
         return False, None
-    # Orders must stay nondecreasing; permute only within equal-order blocks.
-    for perm in permutations(range(len(by_order))):
-        seq = [by_order[i] for i in perm]
-        if [k for _, k in seq] != orders:
-            continue
-        if admissible(seq):
-            return True, seq
-    return False, None
+    lo, hi = mpf(-1), mpf(1)
+    seq = []
+    for _, block in groupby(pairs, key=lambda t: t[1]):
+        block = list(block)
+        left = sorted((t for t in block if t[0] <= lo), key=lambda t: t[0], reverse=True)
+        right = sorted((t for t in block if t[0] >= hi), key=lambda t: t[0])
+        if len(left) + len(right) < len(block):
+            return False, None
+        seq += left + right
+        if left:
+            lo = left[-1][0]
+        if right:
+            hi = right[-1][0]
+    return True, seq
 
 
 def quasi_orthogonality_check(family: SobolevFamily, n: int) -> mpf:

@@ -1,7 +1,9 @@
 """Tests for the command-line front end."""
 
 import json
+import os
 
+import mpmath
 import pytest
 from mpmath import mpf
 
@@ -12,6 +14,7 @@ from jacobisobolev.cli import (
     load_config,
     main,
 )
+from jacobisobolev.numkernel import set_precision
 
 INTRO_CONFIG = {
     "alpha": "0",
@@ -32,6 +35,9 @@ SADDLE_CONFIG = {
     "points": [{"c": "2", "terms": [{"k": 1, "lambda": "1"}]}],
     "n": 12,
 }
+
+
+CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -146,12 +152,32 @@ class TestCommands:
 
 class TestDeterminism:
     def test_byte_identical_reports(self, tmp_path):
-        config = write_config(tmp_path, SADDLE_CONFIG)
-        out1, out2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
-        assert main(["electro", "--config", config, "--out", out1]) == 0
-        assert main(["electro", "--config", config, "--out", out2]) == 0
-        with open(out1, "rb") as f1, open(out2, "rb") as f2:
-            assert f1.read() == f2.read()
+        shipped = os.path.join(CONFIG_DIR, "two_points_mixed_orders.json")
+        runs = [
+            ["--config", write_config(tmp_path, SADDLE_CONFIG)],
+            ["--config", shipped, "--n", "8"],
+        ]
+        for args in runs:
+            out1, out2 = str(tmp_path / "a.json"), str(tmp_path / "b.json")
+            assert main(["electro", *args, "--out", out1]) == 0
+            assert main(["electro", *args, "--out", out2]) == 0
+            with open(out1, "rb") as f1, open(out2, "rb") as f2:
+                assert f1.read() == f2.read()
+
+    def test_electro_roots_each_polynomial_once(self, tmp_path, monkeypatch):
+        # decompose_field and classify both need the zeros of S_n; the
+        # root finder must run once per distinct polynomial.
+        seen = []
+        real_polyroots = mpmath.polyroots
+
+        def counting(coeffs, *args, **kwargs):
+            seen.append(tuple(coeffs))
+            return real_polyroots(coeffs, *args, **kwargs)
+
+        monkeypatch.setattr(mpmath, "polyroots", counting)
+        assert main(["electro", "--config", write_config(tmp_path, SADDLE_CONFIG)]) == 0
+        assert len(seen) == len(set(seen))
+        assert any(len(c) == SADDLE_CONFIG["n"] + 1 for c in seen)
 
 
 class TestExitCodes:
@@ -181,3 +207,20 @@ class TestExitCodes:
 
     def test_missing_config_is_2(self, tmp_path):
         assert main(["polys", "--config", str(tmp_path / "nope.json")]) == 2
+
+    @pytest.mark.parametrize(
+        "command,config,bits",
+        [
+            ("zeros", "large_beta_single_mass", 64),
+            ("electro", "large_beta_single_mass", 64),
+            ("zeros", "two_points_mixed_orders", 64),
+            ("electro", "two_points_mixed_orders", 128),
+        ],
+    )
+    def test_root_finder_failure_is_3(self, command, config, bits, capsys):
+        path = os.path.join(CONFIG_DIR, f"{config}.json")
+        try:
+            assert main([command, "--config", path, "--precision", str(bits)]) == 3
+        finally:
+            set_precision()  # load_config set the global working precision
+        assert "RootFailure" in capsys.readouterr().err

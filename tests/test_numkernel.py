@@ -9,7 +9,9 @@ from mpmath import mpf
 from jacobisobolev.numkernel import (
     DegenerateDivisor,
     DegenerateInput,
+    EigenFailure,
     Poly,
+    RootFailure,
     SingularSystem,
     SymMatrix,
     cholesky_pd,
@@ -127,16 +129,27 @@ class TestLinearAlgebra:
         assert abs(eigs[0] - 1) < tol(2)
         assert abs(eigs[1] - 3) < tol(2)
 
-    def test_sym_eigen_matches_library(self):
-        n = 6
+    def test_sym_eigen_tridiagonal_closed_form(self):
+        # tridiag(-1, 2, -1) of order n has eigenvalues 2 - 2 cos(k pi / (n + 1))
+        n = 40
         m = SymMatrix(n)
         for i in range(n):
-            for j in range(i, n):
-                m.set(i, j, mpf(1) / (i + j + 1))
-        mine = sym_eigen(m)
-        theirs = sorted(mpmath.eigsy(mpmath.matrix(m.dense()), eigvals_only=True))
-        for a, b in zip(mine, theirs):
+            m.set(i, i, 2)
+            if i + 1 < n:
+                m.set(i, i + 1, -1)
+        want = sorted(2 - 2 * mpmath.cos(k * mpmath.pi / (n + 1)) for k in range(1, n + 1))
+        got = sym_eigen(m)
+        assert len(got) == n
+        for a, b in zip(got, want):
             assert abs(a - b) <= tol(2) * max(1, abs(b))
+
+    def test_sym_eigen_failure_is_named(self, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise RuntimeError("tridiag_eigen: no convergence")
+
+        monkeypatch.setattr(mpmath, "eigsy", no_convergence)
+        with pytest.raises(EigenFailure):
+            sym_eigen(SymMatrix(2, [[2, 1], [1, 2]]))
 
     @given(st.lists(st.integers(-9, 9), min_size=9, max_size=9))
     @settings(max_examples=30, deadline=None)
@@ -197,3 +210,39 @@ class TestRoots:
         assert all(im == 0 for _, im in got)
         for (re, _), w in zip(got, want):
             assert abs(re - w) < mpf("1e-30")
+
+    def test_memo_repeats_equal_lists(self):
+        p = Poly.from_roots([mpf("-0.5"), mpf("0.25"), 3])
+        first = poly_roots(p)
+        assert poly_roots(p) == first
+        assert poly_roots(p) is not first
+
+    def test_memo_survives_caller_mutation(self):
+        p = Poly.from_roots([1, 2])
+        first = poly_roots(p)
+        want = list(first)
+        first.clear()
+        assert poly_roots(p) == want
+
+    def test_memo_recomputes_at_new_precision(self):
+        p = Poly((-2, 0, 1))  # x^2 - 2, exact at every precision
+        low = poly_roots(p)[1][0]
+        with mpmath.workprec(512):
+            high = poly_roots(p)[1][0]
+            assert abs(high - mpmath.sqrt(2)) < mpf(10) ** -150
+            assert abs(low - mpmath.sqrt(2)) > mpf(10) ** -100
+        assert poly_roots(p)[1][0] == low
+
+    def test_failure_is_named_and_not_cached(self, monkeypatch):
+        p = Poly.from_roots([1, 2, 3])
+        real_polyroots = mpmath.polyroots
+
+        def no_convergence(*args, **kwargs):
+            raise mpmath.mp.NoConvergence("no convergence")
+
+        monkeypatch.setattr(mpmath, "polyroots", no_convergence)
+        with pytest.raises(RootFailure):
+            poly_roots(p)
+        monkeypatch.setattr(mpmath, "polyroots", real_polyroots)
+        for (re, _), want in zip(poly_roots(p), [1, 2, 3]):
+            assert abs(re - want) < tol(2)

@@ -1,5 +1,9 @@
 """Tests for the discrete Sobolev inner product and the S_n construction."""
 
+import random
+import time
+from itertools import permutations
+
 import mpmath
 import pytest
 from mpmath import mpf
@@ -38,6 +42,45 @@ def gram_schmidt_oracle(product, n):
             v = v - coef * b
         basis.append(v)
     return [p * (1 / p.leading) for p in basis]
+
+
+def sequential_ordering_oracle(product):
+    """Exhaustive form of is_sequentially_ordered: try every arrangement of
+    the active pairs that keeps the orders nondecreasing and return the
+    first in which no point falls inside the hull grown by its predecessors.
+    Factorial in d*, so only for small products.
+    """
+    pairs = [(product.points[j].c, k) for j, k, _ in product.active_pairs]
+    by_order = sorted(pairs, key=lambda t: t[1])
+    orders = [k for _, k in by_order]
+
+    def admissible(seq) -> bool:
+        lo, hi = mpf(-1), mpf(1)
+        seen = set()
+        for c, _ in seq:
+            if lo < c < hi or c in seen:
+                return False
+            seen.add(c)
+            lo, hi = min(lo, c), max(hi, c)
+        return True
+
+    for perm in permutations(range(len(by_order))):
+        seq = [by_order[i] for i in perm]
+        if [k for _, k in seq] == orders and admissible(seq):
+            return True, seq
+    return False, None
+
+
+MASS_LOCATIONS = [s * mpf(v) for s in (1, -1) for v in ("1", "1.25", "1.5", "2", "3", "4")]
+
+
+def random_product(rng, n_points):
+    cs = rng.sample(MASS_LOCATIONS, n_points)
+    points = []
+    for c in cs:
+        orders = rng.sample([0, 1, 2], rng.randint(1, 2))
+        points.append(MassPoint(c, [(k, rng.choice([mpf("0.5"), 1, 2])) for k in orders]))
+    return SobolevProduct(JacobiParams(0, 0), points)
 
 
 class TestMassPoint:
@@ -201,6 +244,29 @@ class TestSequentialOrdering:
             JacobiParams(0, 0), [MassPoint(3, [(0, 1)]), MassPoint(2, [(1, 1)])]
         )
         assert not is_sequentially_ordered(product)[0]
+
+
+    def test_matches_exhaustive_oracle(self):
+        rng = random.Random(20261018)
+        flags = set()
+        for _ in range(300):
+            product = random_product(rng, rng.randint(1, 4))
+            if product.d_star > 6:
+                continue
+            got = is_sequentially_ordered(product)
+            assert got == sequential_ordering_oracle(product), product
+            flags.add(got[0])
+        assert flags == {True, False}
+
+    def test_ten_point_unordered_product_is_fast(self):
+        # Nine order-0 masses, then an order-1 mass inside their hull: the
+        # exhaustive search would walk all 10! arrangements.
+        cs = ["1", "1.5", "2", "3", "4", "-1.25", "-1.5", "-2", "-3"]
+        points = [MassPoint(mpf(c), [(0, 1)]) for c in cs] + [MassPoint(mpf("2.5"), [(1, 1)])]
+        product = SobolevProduct(JacobiParams(0, 0), points)
+        start = time.perf_counter()
+        assert is_sequentially_ordered(product) == (False, None)
+        assert time.perf_counter() - start < 0.5
 
 
 class TestQuasiOrthogonality:
