@@ -19,7 +19,7 @@ import json
 import sys
 
 import mpmath
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from .electrostatics import ElectroError, classify, decompose_field, gradient
 from .jacobi import InvalidMeasure, JacobiParams, classical_ode_residual
@@ -378,6 +378,8 @@ def main(argv=None) -> int:
     parser.add_argument("--format", choices=["json", "csv"], default="json")
     args = parser.parse_args(argv)
 
+    # load_config sets the working precision; the caller's is restored.
+    caller_prec = mp.prec
     try:
         cfg = load_config(args.config, n_override=args.n, precision_override=args.precision)
         report = COMMANDS[args.command](cfg)
@@ -388,6 +390,8 @@ def main(argv=None) -> int:
     except (NumKernelError, InvalidMeasure, SobolevError, StructureError, ElectroError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    finally:
+        mp.prec = caller_prec
 
     if args.out:
         with io.open(args.out, "w", encoding="utf-8", newline="\n") as fh:

@@ -179,7 +179,7 @@ def decompose_field(ld: LadderData, family: SobolevFamily) -> FieldDecomposition
         if im != 0:
             warnings.append(f"delta zero off the real axis: {re} + {im}i")
         u_pts.append((re, im))
-    sn_zeros = [re for re, im in poly_roots(family.poly(ld.n)) if im == 0]
+    sn_zeros = [re for re, im in family.zeros(ld.n) if im == 0]
     for re, im in u_pts:
         if im == 0 and any(abs(re - z) <= MERGE_TOL for z in sn_zeros):
             warnings.append(f"delta zero {re} collides with a zero of S_n")
@@ -384,7 +384,7 @@ class ElectroReport:
 
 def classify(fd: FieldDecomposition, family: SobolevFamily, n: int) -> ElectroReport:
     """Evaluate gradient/Hessian at the zeros of S_n and classify them."""
-    roots = poly_roots(family.poly(n))
+    roots = family.zeros(n)
     if any(im != 0 for _, im in roots):
         raise ZerosNotSimple("S_n has nonreal zeros")
     zeros = sorted(re for re, _ in roots)

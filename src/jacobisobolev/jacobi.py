@@ -11,9 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import mpmath
-from mpmath import mpf
+from mpmath import mp, mpf
+from mpmath.matrices.eigen_symmetric import tridiag_eigen
 
-from .numkernel import Poly
+from .numkernel import EigenFailure, Poly
 
 
 class InvalidMeasure(Exception):
@@ -110,6 +111,35 @@ class JacobiCache:
     def norm(self, k: int) -> mpf:
         self.extend(k)
         return self.norms[k]
+
+    def eval_series(self, coeffs, x):
+        """(f(x), f'(x)) for f = sum_k coeffs[k] P_k, by the monic three-term
+        recurrence: O(len(coeffs)) operations, for a real or complex x."""
+        n = len(coeffs) - 1
+        self.extend(n)
+        p_prev, p = 0, 1
+        d_prev, d = 0, 0
+        value, slope = coeffs[0] * p, 0
+        for k in range(n):
+            shift = x - self.gamma1s[k]
+            g2 = self.gamma2s[k]
+            p_prev, p, d_prev, d = p, shift * p - g2 * p_prev, d, p + shift * d - g2 * d_prev
+            value += coeffs[k + 1] * p
+            slope += coeffs[k + 1] * d
+        return value, slope
+
+    def nodes(self, n: int) -> list:
+        """Zeros of P_n, ascending: the eigenvalues of the Jacobi matrix
+        (Golub-Welsch), which has gamma1_k on its diagonal and
+        sqrt(gamma2_k) beside it."""
+        self.extend(n)
+        diag = list(self.gamma1s[:n])
+        off = [mpmath.sqrt(g) for g in self.gamma2s[1:n]] + [mpf(0)]
+        try:
+            tridiag_eigen(mp, diag, off)
+        except RuntimeError as exc:
+            raise EigenFailure(str(exc)) from exc
+        return diag
 
 
 def build_jacobi(params: JacobiParams, n: int) -> JacobiCache:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from .jacobi import gamma1, gamma2, ladder_coeffs, raise_over_gamma2
 from .numkernel import Poly, tol
@@ -97,9 +97,18 @@ def build_ladder(family: SobolevFamily, n: int) -> LadderData:
 
     Index 1 uses the continuous limit of the C/D formulas, since the
     generic expressions divide by gamma2_0 = 0 against vanishing numerators.
+    The bundle is memoised on the family per (n, working precision), so a
+    repeat call returns the same object.
     """
     if n < 1:
         raise ValueError("ladder data needs n >= 1")
+    key = (n, mp.prec)
+    if key not in family.ladder_memo:
+        family.ladder_memo[key] = _build_ladder(family, n)
+    return family.ladder_memo[key]
+
+
+def _build_ladder(family: SobolevFamily, n: int) -> LadderData:
     family.extend(n)
     product = family.product
     params = product.jacobi

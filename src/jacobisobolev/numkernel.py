@@ -17,7 +17,7 @@ from mpmath import mp, mpf, mpc
 
 DEFAULT_PRECISION_BITS = 256
 
-# Real-root snapping threshold for poly_roots at default precision.
+# Real-root snapping threshold of poly_roots and aberth_roots.
 ROOT_SNAP_TOL = mpf("1e-20")
 
 
@@ -74,14 +74,13 @@ class Poly:
     by an explicit :meth:`trim`.
     """
 
-    __slots__ = ("coeffs", "_roots")
+    __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):
         cs = [mpf(c) for c in coeffs]
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
-        self._roots = None  # (key, roots) memo filled by poly_roots
 
     # -- constructors -------------------------------------------------
 
@@ -365,26 +364,17 @@ def cholesky_pd(M: SymMatrix) -> bool:
     return True
 
 
-def poly_roots(p: Poly, snap_tol=None) -> list:
+def poly_roots(p: Poly) -> list:
     """All roots of p as (re, im) pairs, sorted by real part then imaginary.
 
     Roots come from mpmath's arbitrary-precision solver and are polished by
     a few Newton steps at working precision.  Near-real roots are snapped to
-    the real axis when |im| < snap_tol * (1 + |re|).  The result is memoised
-    on p per (working precision, snap_tol); each call returns a new list.
+    the real axis when |im| < ROOT_SNAP_TOL * (1 + |re|).
     """
     if p.is_zero():
         raise DegenerateInput("zero polynomial has no well-defined roots")
     if p.degree < 1:
         return []
-    snap_tol = ROOT_SNAP_TOL if snap_tol is None else mpf(snap_tol)
-    key = (mp.prec, snap_tol)
-    if p._roots is None or p._roots[0] != key:
-        p._roots = (key, _find_roots(p, snap_tol))
-    return list(p._roots[1])
-
-
-def _find_roots(p: Poly, snap_tol: mpf) -> tuple:
     coeffs_desc = list(reversed(p.coeffs))
     try:
         roots = mpmath.polyroots(coeffs_desc, maxsteps=200, extraprec=mp.prec // 2)
@@ -403,11 +393,63 @@ def _find_roots(p: Poly, snap_tol: mpf) -> tuple:
             if abs(step) <= mpf(2) ** (-mp.prec) * (1 + abs(z)):
                 break
         polished.append(z)
+    return _snap_sort(polished)
+
+
+def _snap_sort(zs) -> list:
+    """The output format shared by poly_roots and aberth_roots."""
     out = []
-    for z in polished:
+    for z in zs:
         re, im = mpf(z.real), mpf(z.imag)
-        if abs(im) < snap_tol * (1 + abs(re)):
+        if abs(im) < ROOT_SNAP_TOL * (1 + abs(re)):
             im = mpf(0)
         out.append((re, im))
     out.sort(key=lambda t: (t[0], t[1]))
-    return tuple(out)
+    return out
+
+
+# Sweep cap of aberth_roots.  Seeded with the zeros of P_n, a zero of S_n
+# takes 5-8 steps on the shipped configs at n <= 40.
+ABERTH_MAX_SWEEPS = 200
+
+
+def aberth_roots(evaluate, seeds: Sequence) -> list:
+    """All roots of a polynomial of degree len(seeds) by Aberth-Ehrlich
+    iteration, as poly_roots returns them (snapped and sorted (re, im)).
+
+    ``evaluate(z)`` returns (p(z), p'(z)) for a complex z; ``seeds`` are
+    distinct complex starting points, one per root.  Sweeps are Gauss-Seidel
+    (each update is used at once) and a root is frozen once its step is at
+    most 2^(-7p/8) (1 + |z|) at working precision p.  A root also stops
+    once its step is below 2^(-p/4) but less than halves from the step
+    before: near-multiple zeros stall there at the noise of the evaluation,
+    far above the first bound.  Raises RootFailure after ABERTH_MAX_SWEEPS.
+    """
+    zs = [mpc(z) for z in seeds]
+    n = len(zs)
+    done_eps = mpf(2) ** (-(7 * mp.prec) // 8)
+    stall_eps = mpf(2) ** (-mp.prec // 4)
+    last = [None] * n
+    active = set(range(n))
+    for _ in range(ABERTH_MAX_SWEEPS):
+        for i in sorted(active):
+            z = zs[i]
+            value, slope = evaluate(z)
+            if value == 0:
+                active.discard(i)
+                continue
+            if slope == 0:
+                raise RootFailure(f"degree-{n} Aberth iteration: zero derivative at {z}")
+            ratio = value / slope
+            pull = sum(1 / (z - w) for j, w in enumerate(zs) if j != i)
+            step = ratio / (1 - ratio * pull)
+            zs[i] = z - step
+            size = abs(step)
+            if size <= done_eps * (1 + abs(zs[i])) or (
+                size < stall_eps and last[i] is not None and size > last[i] / 2
+            ):
+                active.discard(i)
+            last[i] = size
+        if not active:
+            return _snap_sort(zs)
+    raise RootFailure(f"degree-{n} Aberth iteration: no convergence in {ABERTH_MAX_SWEEPS} sweeps")

@@ -11,17 +11,22 @@ combination of derivative Christoffel-Darboux kernels.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import groupby
 
 import mpmath
-from mpmath import mpf
+from mpmath import mp, mpc, mpf
 
 from .jacobi import JacobiCache, JacobiParams, build_jacobi
-from .numkernel import Poly, SymMatrix, cholesky_pd, poly_roots, solve_dense, taylor_poly, tol
+from .numkernel import Poly, SymMatrix, aberth_roots, cholesky_pd, solve_dense, taylor_poly, tol
 
 # Below this separation the closed Christoffel-Darboux form of the kernel
 # is numerically unsafe and the direct sum is used instead.
 CD_SEPARATION = mpf("1e-8")
+
+# Imaginary offset of the Aberth seeds, with alternating sign: the iteration
+# cannot leave the real axis from real seeds, and S_n may have complex zeros.
+SEED_NUDGE = mpf("1e-3")
 
 
 class SobolevError(Exception):
@@ -202,13 +207,18 @@ def kernel_poly_dk(cache: JacobiCache, n: int, k: int, y) -> Poly:
 @dataclass
 class SobolevFamily:
     """S_0..S_n with derivative vectors at the mass points and the
-    connection-formula numerators (A2, B2) over the denominator rho."""
+    connection-formula numerators (A2, B2) over the denominator rho.
+
+    ``ladder_memo`` and ``zeros_memo`` hold the results of build_ladder and
+    zeros per (n, working precision)."""
 
     product: SobolevProduct
     jacobi_cache: JacobiCache
     sob_polys: list = field(default_factory=list)
     deriv_vectors: list = field(default_factory=list)
     conn_numerators: list = field(default_factory=list)
+    ladder_memo: dict = field(default_factory=dict, repr=False, compare=False)
+    zeros_memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def top(self) -> int:
@@ -221,6 +231,35 @@ class SobolevFamily:
     def deriv_vector(self, m: int) -> list:
         self.extend(m)
         return self.deriv_vectors[m]
+
+    def jacobi_coeffs(self, n: int) -> list:
+        """a_0..a_n with S_n = sum_nu a_nu P_nu: a_n = 1 and, from the kernel
+        form of S_n, a_nu = -sum lambda s_{j,k} P_nu^(k)(c_j) / h_nu."""
+        cache, product = self.jacobi_cache, self.product
+        sder = self.deriv_vector(n)
+        coeffs = []
+        for nu in range(n):
+            p = cache.poly(nu)
+            acc = mpf(0)
+            for (j, k, lam), sval in zip(product.active_pairs, sder):
+                acc += lam * sval * p.deriv(k)(product.points[j].c)
+            coeffs.append(-acc / cache.norm(nu))
+        return coeffs + [mpf(1)]
+
+    def zeros(self, n: int) -> list:
+        """Zeros of S_n as poly_roots returns them: Aberth iteration on the
+        Jacobi expansion, seeded with the zeros of P_n.  Memoised per
+        (n, working precision); each call returns a new list."""
+        key = (n, mp.prec)
+        if key not in self.zeros_memo:
+            coeffs = self.jacobi_coeffs(n)
+            seeds = [
+                mpc(x, SEED_NUDGE if i % 2 == 0 else -SEED_NUDGE)
+                for i, x in enumerate(self.jacobi_cache.nodes(n))
+            ]
+            evaluate = partial(self.jacobi_cache.eval_series, coeffs)
+            self.zeros_memo[key] = tuple(aberth_roots(evaluate, seeds))
+        return list(self.zeros_memo[key])
 
     def sobolev_norm_sq(self, m: int) -> mpf:
         s = self.poly(m)
@@ -390,17 +429,17 @@ def zeros_of(family: SobolevFamily, n: int) -> ZeroReport:
     """Zeros of S_n with the interval counts used by the zero-location lemmas."""
     if n < 1:
         raise ValueError("need n >= 1")
-    sn = family.poly(n)
-    roots = poly_roots(sn)
+    roots = family.zeros(n)
     real_roots = sorted(re for re, im in roots if im == 0)
     inside = [r for r in real_roots if -1 < r < 1]
 
     # Sign alternation of S_n at midpoints between consecutive interior roots.
     changes = 0
     if inside:
+        coeffs = family.jacobi_coeffs(n)
         grid = [mpf(-1)] + inside + [mpf(1)]
-        probes = [(a + b) / 2 for a, b in zip(grid, grid[1:])]
-        signs = [mpmath.sign(sn(p)) for p in probes if sn(p) != 0]
+        values = [family.jacobi_cache.eval_series(coeffs, (a + b) / 2)[0] for a, b in zip(grid, grid[1:])]
+        signs = [mpmath.sign(v) for v in values if v != 0]
         changes = sum(1 for s0, s1 in zip(signs, signs[1:]) if s0 * s1 < 0)
 
     near = []

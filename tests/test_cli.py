@@ -5,8 +5,9 @@ import os
 
 import mpmath
 import pytest
-from mpmath import mpf
+from mpmath import mp, mpf
 
+from jacobisobolev import cli, ladder, sobolev
 from jacobisobolev.cli import (
     ConfigError,
     canonical_config_dump,
@@ -14,7 +15,8 @@ from jacobisobolev.cli import (
     load_config,
     main,
 )
-from jacobisobolev.numkernel import set_precision
+from jacobisobolev.numkernel import tol
+from jacobisobolev.sobolev import build_family
 
 INTRO_CONFIG = {
     "alpha": "0",
@@ -164,20 +166,52 @@ class TestDeterminism:
             with open(out1, "rb") as f1, open(out2, "rb") as f2:
                 assert f1.read() == f2.read()
 
-    def test_electro_roots_each_polynomial_once(self, tmp_path, monkeypatch):
-        # decompose_field and classify both need the zeros of S_n; the
-        # root finder must run once per distinct polynomial.
-        seen = []
-        real_polyroots = mpmath.polyroots
+    def test_verify_same_with_and_without_ladder_memo(self, tmp_path, monkeypatch):
+        shipped = os.path.join(CONFIG_DIR, "two_points_mixed_orders.json")
+        runs = [
+            ["--config", write_config(tmp_path, SADDLE_CONFIG), "--n", "6"],
+            ["--config", shipped, "--n", "6"],
+        ]
+        memo = []
+        for args in runs:
+            out = str(tmp_path / f"memo{len(memo)}.json")
+            assert main(["verify", *args, "--out", out]) == 0
+            memo.append(out)
+        # build_ladder without its memo, at every name it is called by.
+        monkeypatch.setattr(cli, "build_ladder", ladder._build_ladder)
+        monkeypatch.setattr(ladder, "build_ladder", ladder._build_ladder)
+        for args, memo_out in zip(runs, memo):
+            out = str(tmp_path / "plain.json")
+            assert main(["verify", *args, "--out", out]) == 0
+            with open(memo_out, "rb") as f1, open(out, "rb") as f2:
+                assert f1.read() == f2.read()
 
-        def counting(coeffs, *args, **kwargs):
-            seen.append(tuple(coeffs))
+    def test_electro_roots_s_n_once_by_aberth(self, tmp_path, monkeypatch):
+        # decompose_field and classify both need the zeros of S_n: one
+        # Aberth solve gives them, and S_n never reaches mpmath.polyroots.
+        degrees, aberth_calls = [], []
+        real_polyroots, real_aberth = mpmath.polyroots, sobolev.aberth_roots
+
+        def counting_polyroots(coeffs, *args, **kwargs):
+            degrees.append(len(coeffs) - 1)
             return real_polyroots(coeffs, *args, **kwargs)
 
-        monkeypatch.setattr(mpmath, "polyroots", counting)
+        def counting_aberth(evaluate, seeds):
+            aberth_calls.append(len(seeds))
+            return real_aberth(evaluate, seeds)
+
+        monkeypatch.setattr(mpmath, "polyroots", counting_polyroots)
+        monkeypatch.setattr(sobolev, "aberth_roots", counting_aberth)
         assert main(["electro", "--config", write_config(tmp_path, SADDLE_CONFIG)]) == 0
-        assert len(seen) == len(set(seen))
-        assert any(len(c) == SADDLE_CONFIG["n"] + 1 for c in seen)
+        assert aberth_calls == [SADDLE_CONFIG["n"]]
+        assert degrees and SADDLE_CONFIG["n"] not in degrees
+
+    def test_caller_precision_restored(self, tmp_path):
+        before = mp.prec
+        path = write_config(tmp_path, LEGENDRE_CONFIG)
+        assert main(["zeros", "--config", path, "--precision", "128", "--out", str(tmp_path / "z.json")]) == 0
+        assert main(["zeros", "--config", str(tmp_path / "nope.json"), "--precision", "128"]) == 2
+        assert mp.prec == before
 
 
 class TestExitCodes:
@@ -210,17 +244,42 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "command,config,bits",
+        [("electro", "two_points_mixed_orders", 128)],
+    )
+    def test_root_finder_failure_is_3(self, command, config, bits, capsys):
+        # S_n is rooted by Aberth iteration; phi1 (degree 7) still goes
+        # through mpmath.polyroots, which does not converge here.
+        path = os.path.join(CONFIG_DIR, f"{config}.json")
+        assert main([command, "--config", path, "--precision", str(bits)]) == 3
+        assert "RootFailure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,config,bits",
         [
             ("zeros", "large_beta_single_mass", 64),
             ("electro", "large_beta_single_mass", 64),
             ("zeros", "two_points_mixed_orders", 64),
-            ("electro", "two_points_mixed_orders", 128),
+            ("zeros", "large_beta_single_mass", 53),
         ],
     )
-    def test_root_finder_failure_is_3(self, command, config, bits, capsys):
+    def test_low_precision_zeros_agree(self, command, config, bits, tmp_path):
+        # The monomial root finder failed on these; the Aberth zeros agree
+        # with a 512-bit run to the digits the low precision claims.
         path = os.path.join(CONFIG_DIR, f"{config}.json")
-        try:
-            assert main([command, "--config", path, "--precision", str(bits)]) == 3
-        finally:
-            set_precision()  # load_config set the global working precision
-        assert "RootFailure" in capsys.readouterr().err
+        out = str(tmp_path / "low.json")
+        assert main([command, "--config", path, "--precision", str(bits), "--out", out]) == 0
+        with open(out, encoding="utf-8") as fh:
+            report = json.load(fh)
+        with mpmath.workprec(512):
+            cfg = load_config(path, precision_override=512)
+            want = build_family(cfg["product"], cfg["n"]).zeros(cfg["n"])
+            if command == "zeros":
+                got = [(mpf(r["re"]), mpf(r["im"])) for r in report["roots"]]
+            else:
+                got = [(mpf(z), mpf(0)) for z in report["zeros"]]
+                want = [(re, im) for re, im in want if im == 0]
+        with mpmath.workprec(bits):
+            limit = tol(2)
+        assert len(got) == len(want)
+        for (re, im), (wre, wim) in zip(got, want):
+            assert abs(mpmath.mpc(re, im) - mpmath.mpc(wre, wim)) <= limit * max(1, abs(wre))

@@ -166,11 +166,9 @@ class TestClassification:
         assert curv[-1] < 0
 
     def test_complex_zero_config_rejected(self, fd3):
-        from jacobisobolev.numkernel import Poly
-
         class _StubFamily:
-            def poly(self, n):
-                return Poly((1, 0, 1))  # x^2 + 1, conjugate-pair zeros
+            def zeros(self, n):
+                return [(mpf(0), mpf(-1)), (mpf(0), mpf(1))]  # zeros of x^2 + 1
 
         with pytest.raises(ZerosNotSimple):
             classify(fd3, _StubFamily(), 2)

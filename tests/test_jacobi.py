@@ -56,6 +56,23 @@ class TestRecurrence:
         for n in range(9):
             assert cache.poly(n).is_monic()
 
+    @pytest.mark.parametrize("a,b", PARAM_SETS)
+    def test_nodes_match_gauss_quadrature(self, a, b):
+        nodes = build_jacobi(JacobiParams(a, b), 12).nodes(12)
+        want = sorted(mpmath.mp.gauss_quadrature(12, "jacobi", a, b)[0])
+        assert max(abs(x - w) for x, w in zip(nodes, want)) < tol(2)
+
+    @pytest.mark.parametrize("x", [mpf("0.3"), mpf(-2), mpmath.mpc("0.5", "-0.25")])
+    def test_eval_series_matches_polys(self, x):
+        cache = build_jacobi(JacobiParams(mpf("0.5"), 7), 9)
+        coeffs = [mpf(k + 1) / 3 for k in range(10)]
+        f = Poly.zero()
+        for k, c in enumerate(coeffs):
+            f = f + c * cache.poly(k)
+        value, slope = cache.eval_series(coeffs, x)
+        assert abs(value - f(x)) < tol(2) * max(1, abs(f(x)))
+        assert abs(slope - f.deriv()(x)) < tol(2) * max(1, abs(f.deriv()(x)))
+
     def test_gamma1_cancelled_at_zero(self):
         # alpha + beta = 0 makes the generic formula 0/0; the cancelled
         # form must still give (beta - alpha) / (alpha + beta + 2).

@@ -22,6 +22,11 @@ from jacobisobolev.sobolev import MassPoint, SobolevProduct, build_family
 
 
 class TestStructure:
+    def test_repeat_call_returns_memoised_bundle(self, ex2_family):
+        ld = build_ladder(ex2_family, 7)
+        assert build_ladder(ex2_family, 7) is ld
+        assert build_ladder(ex2_family, 8) is not ld
+
     @pytest.mark.parametrize("which", [0, 1, 2, 3])
     def test_degrees_and_divisibility(self, all_families, which):
         # build_ladder itself asserts the degree table and the exact

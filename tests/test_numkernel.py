@@ -4,8 +4,9 @@ import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mpf
+from mpmath import mpc, mpf
 
+from jacobisobolev import numkernel
 from jacobisobolev.numkernel import (
     DegenerateDivisor,
     DegenerateInput,
@@ -14,6 +15,7 @@ from jacobisobolev.numkernel import (
     RootFailure,
     SingularSystem,
     SymMatrix,
+    aberth_roots,
     cholesky_pd,
     poly_roots,
     precision_digits,
@@ -211,27 +213,22 @@ class TestRoots:
         for (re, _), w in zip(got, want):
             assert abs(re - w) < mpf("1e-30")
 
-    def test_memo_repeats_equal_lists(self):
-        p = Poly.from_roots([mpf("-0.5"), mpf("0.25"), 3])
-        first = poly_roots(p)
-        assert poly_roots(p) == first
-        assert poly_roots(p) is not first
+    def test_aberth_matches_poly_roots(self):
+        p = Poly.from_roots([mpf(-2), mpf("-0.5"), mpf("0.25"), 3]) * Poly((5, 2, 1))  # and -1 +- 2i
+        dp = p.deriv()
+        seeds = [mpc(k, (-1) ** k) / 2 for k in range(p.degree)]
+        got = aberth_roots(lambda z: (p(z), dp(z)), seeds)
+        want = poly_roots(p)
+        assert [im == 0 for _, im in got] == [im == 0 for _, im in want]
+        for (re, im), (wre, wim) in zip(got, want):
+            assert abs(re - wre) < tol(2) and abs(im - wim) < tol(2)
 
-    def test_memo_survives_caller_mutation(self):
-        p = Poly.from_roots([1, 2])
-        first = poly_roots(p)
-        want = list(first)
-        first.clear()
-        assert poly_roots(p) == want
-
-    def test_memo_recomputes_at_new_precision(self):
-        p = Poly((-2, 0, 1))  # x^2 - 2, exact at every precision
-        low = poly_roots(p)[1][0]
-        with mpmath.workprec(512):
-            high = poly_roots(p)[1][0]
-            assert abs(high - mpmath.sqrt(2)) < mpf(10) ** -150
-            assert abs(low - mpmath.sqrt(2)) > mpf(10) ** -100
-        assert poly_roots(p)[1][0] == low
+    def test_aberth_sweep_cap_is_named(self, monkeypatch):
+        p = Poly.from_roots([1, 2, 3])
+        dp = p.deriv()
+        monkeypatch.setattr(numkernel, "ABERTH_MAX_SWEEPS", 1)
+        with pytest.raises(RootFailure):
+            aberth_roots(lambda z: (p(z), dp(z)), [mpc(0, 1), mpc(5, -1), mpc(-3, 1)])
 
     def test_failure_is_named_and_not_cached(self, monkeypatch):
         p = Poly.from_roots([1, 2, 3])

@@ -6,10 +6,11 @@ from itertools import permutations
 
 import mpmath
 import pytest
-from mpmath import mpf
+from mpmath import mpc, mpf
 
+from jacobisobolev import numkernel
 from jacobisobolev.jacobi import JacobiParams, build_jacobi
-from jacobisobolev.numkernel import Poly, tol
+from jacobisobolev.numkernel import Poly, RootFailure, tol
 from jacobisobolev.sobolev import (
     InvalidMassPoint,
     MassPoint,
@@ -293,3 +294,97 @@ class TestZeros:
         report = zeros_of(ex3_family, 12)
         assert report.count_inside == 11
         assert max(report.real_roots) > 2
+
+    def test_zeros_repeat_equal_lists(self, ex1_family):
+        first = ex1_family.zeros(10)
+        assert ex1_family.zeros(10) == first
+        assert ex1_family.zeros(10) is not first
+
+    def test_zeros_survive_caller_mutation(self, ex1_family):
+        first = ex1_family.zeros(9)
+        want = list(first)
+        first.clear()
+        assert ex1_family.zeros(9) == want
+
+    def test_zeros_recompute_at_new_precision(self):
+        # alpha = beta = 1/2: P_3 = x^3 - x/2, exact at every precision.
+        family = build_family(SobolevProduct(JacobiParams("0.5", "0.5"), []), 3)
+        low = family.zeros(3)[2][0]
+        with mpmath.workprec(512):
+            high = family.zeros(3)[2][0]
+            assert abs(high - mpmath.sqrt(2) / 2) < mpf(10) ** -150
+            assert abs(low - mpmath.sqrt(2) / 2) > mpf(10) ** -100
+        assert family.zeros(3)[2][0] == low
+
+    def test_zeros_failure_not_cached(self, monkeypatch):
+        family = build_family(SobolevProduct(JacobiParams(0, 100), [MassPoint(2, [(1, 1)])]), 6)
+        monkeypatch.setattr(numkernel, "ABERTH_MAX_SWEEPS", 1)
+        with pytest.raises(RootFailure):
+            family.zeros(6)
+        monkeypatch.undo()
+        assert len(family.zeros(6)) == 6
+
+    def test_jacobi_expansion_matches_poly(self, all_families):
+        points = [mpf("-0.9"), mpf("0.1"), mpf("0.7"), mpf(2), mpc("0.3", "0.2")]
+        for family in all_families:
+            for n in (1, 5, 8):
+                coeffs = family.jacobi_coeffs(n)
+                sn = family.poly(n)
+                for x in points:
+                    value, slope = family.jacobi_cache.eval_series(coeffs, x)
+                    scale = sum(abs(c) * abs(x) ** k for k, c in enumerate(sn.coeffs))
+                    assert abs(value - sn(x)) <= tol(2) * scale
+                    assert abs(slope - sn.deriv()(x)) <= tol(2) * scale * (n + 1)
+
+
+def refined_at_768_bits(product, n, zeros):
+    """Each (re, im) zero, refined by Newton's method at 768 bits on the
+    monomial coefficients of S_n built at 768 bits.  This shares neither the
+    Jacobi expansion nor the Aberth iteration with family.zeros."""
+    with mpmath.workprec(768):
+        sn = build_family(product, n).poly(n)
+        dsn = sn.deriv()
+        out = []
+        for re, im in zeros:
+            z = mpc(re, im)
+            for _ in range(20):
+                step = sn(z) / dsn(z)
+                z -= step
+                if abs(step) < mpf(2) ** -700:
+                    break
+            out.append(z)
+    return out
+
+
+class TestZerosAccuracy:
+    """Zeros of S_n at 256 bits against the 768-bit referee.  Finding them
+    from the monomial coefficients of S_n (mpmath.polyroots) got only 1.5e-55
+    and 3.2e-55 at n = 24 on the two shipped configs below."""
+
+    @pytest.mark.parametrize(
+        "product",
+        [
+            SobolevProduct(JacobiParams(0, 100), [MassPoint(2, [(1, 1)])]),
+            SobolevProduct(JacobiParams(0, 110), [MassPoint(1, [(1, 1)]), MassPoint(2, [(2, 1)])]),
+        ],
+        ids=["large_beta_single_mass", "two_points_mixed_orders"],
+    )
+    def test_zeros_match_768_bit_referee(self, product):
+        zeros = build_family(product, 24).zeros(24)
+        self.assert_close(zeros, refined_at_768_bits(product, 24, zeros), mpf("1e-60"))
+
+    def test_near_double_zero_terminates(self):
+        # An order-0 and an order-1 mass at c = -1.5 leave two zeros of S_24
+        # 7e-13 apart there; Aberth steps stall at the noise level of that
+        # cluster and must stop by the stall rule.
+        product = SobolevProduct(JacobiParams("0.5", 19), [MassPoint("-1.5", [(0, 1), (1, 1)])])
+        zeros = build_family(product, 24).zeros(24)
+        self.assert_close(zeros, refined_at_768_bits(product, 24, zeros), mpf("1e-55"))
+
+    @staticmethod
+    def assert_close(zeros, referee, limit):
+        assert len(zeros) == len(referee)
+        with mpmath.workprec(768):
+            gaps = [abs(a - b) for i, a in enumerate(referee) for b in referee[i + 1:]]
+            assert min(gaps) > mpf(10) ** -20  # n distinct roots: every root of S_n
+            assert max(abs(mpc(re, im) - r) for (re, im), r in zip(zeros, referee)) <= limit
