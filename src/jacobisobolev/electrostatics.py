@@ -18,7 +18,7 @@ import mpmath
 from mpmath import mpf
 
 from .ladder import LadderData, ode_coeffs
-from .numkernel import Poly, SymMatrix, cholesky_pd, poly_roots, sym_eigen, sym_eigenvectors, tol
+from .numkernel import Poly, cholesky_pd, poly_roots, sym_eigen, sym_eigenvectors, tol
 from .sobolev import SobolevFamily
 
 # Pole locations closer than this are merged into one charge.
@@ -348,19 +348,19 @@ def gradient(fd: FieldDecomposition, omega) -> list:
     return out
 
 
-def hessian(fd: FieldDecomposition, omega) -> SymMatrix:
+def hessian(fd: FieldDecomposition, omega) -> mpmath.matrix:
     omega = [mpf(w) for w in omega]
     n = len(omega)
-    H = SymMatrix(n)
+    H = mpmath.matrix(n, n)
     for k in range(n):
         diag = fd.external_second_deriv(omega[k]) / 2
         for i in range(n):
             if i == k:
                 continue
             diag += 1 / (omega[k] - omega[i]) ** 2
-        H.set(k, k, diag)
+        H[k, k] = diag
         for j in range(k + 1, n):
-            H.set(k, j, -1 / (omega[k] - omega[j]) ** 2)
+            H[k, j] = H[j, k] = -1 / (omega[k] - omega[j]) ** 2
     return H
 
 
@@ -396,7 +396,7 @@ def classify(fd: FieldDecomposition, family: SobolevFamily, n: int) -> ElectroRe
     grad_norm = max(abs(g) for g in grad)
     H = hessian(fd, zeros)
     eigs = sym_eigen(H)
-    hnorm = H.frobenius()
+    hnorm = mpmath.mnorm(H, "f")
     near_zero = [abs(e) <= tol(4) * hnorm for e in eigs]
     if any(near_zero):
         cls = Classification.DEGENERATE
@@ -415,7 +415,7 @@ def classify(fd: FieldDecomposition, family: SobolevFamily, n: int) -> ElectroRe
         if len(negative_set) < n_neg_eigs:
             negative_set = _augment_by_eigenvectors(H, eigs, negative_set, n_neg_eigs)
         keep = [k for k in range(n) if k not in negative_set]
-        truncated_pd = bool(keep) and cholesky_pd(H.submatrix(keep))
+        truncated_pd = bool(keep) and cholesky_pd(mpmath.matrix([[H[i, j] for j in keep] for i in keep]))
 
     return ElectroReport(
         n=n,
@@ -430,11 +430,11 @@ def classify(fd: FieldDecomposition, family: SobolevFamily, n: int) -> ElectroRe
     )
 
 
-def _augment_by_eigenvectors(H: SymMatrix, eigs, negative_set, n_neg: int) -> list:
+def _augment_by_eigenvectors(H: mpmath.matrix, eigs, negative_set, n_neg: int) -> list:
     """Add coordinates dominating negative-eigenvalue eigenvectors (component
     magnitude above 0.9) until the flagged set covers every negative eigenvalue."""
     out = list(negative_set)
-    n = H.order
+    n = H.rows
     evals, evecs = sym_eigenvectors(H)
     order = sorted(range(n), key=lambda i: evals[i])
     for rank in range(n_neg):

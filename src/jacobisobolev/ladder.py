@@ -84,12 +84,8 @@ def _conn_level(family: SobolevFamily, m: int):
 def lambda_form(family: SobolevFamily, m: int) -> mpf:
     """Lambda_m = S_m(C)^T L P_m(C), the positive quadratic form controlling
     the leading coefficients of Delta."""
-    product, cache = family.product, family.jacobi_cache
-    pm = cache.poly(m)
-    acc = mpf(0)
-    for (j, k, lam), sval in zip(product.active_pairs, family.deriv_vector(m)):
-        acc += lam * sval * pm.deriv(k)(product.points[j].c)
-    return acc
+    family.extend(m)
+    return family.lambda_forms[m]
 
 
 def build_ladder(family: SobolevFamily, n: int) -> LadderData:

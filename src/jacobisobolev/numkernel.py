@@ -253,65 +253,19 @@ def taylor_poly(f: Poly, y, k: int) -> Poly:
     return out
 
 
-class SymMatrix:
-    """Dense symmetric matrix with a single physical store per entry pair."""
-
-    __slots__ = ("order", "_data")
-
-    def __init__(self, order: int, entries=None):
-        if order <= 0:
-            raise ValueError("order must be positive")
-        self.order = order
-        # Row-major upper triangle (i <= j).
-        self._data = [mpf(0)] * (order * (order + 1) // 2)
-        if entries is not None:
-            for i in range(order):
-                for j in range(i, order):
-                    self.set(i, j, entries[i][j])
-
-    def _idx(self, i: int, j: int) -> int:
-        if i > j:
-            i, j = j, i
-        return i * self.order - i * (i - 1) // 2 + (j - i)
-
-    def get(self, i: int, j: int) -> mpf:
-        return self._data[self._idx(i, j)]
-
-    def set(self, i: int, j: int, v) -> None:
-        self._data[self._idx(i, j)] = mpf(v)
-
-    def dense(self):
-        return [[self.get(i, j) for j in range(self.order)] for i in range(self.order)]
-
-    def frobenius(self) -> mpf:
-        s = mpf(0)
-        for i in range(self.order):
-            for j in range(self.order):
-                s += self.get(i, j) ** 2
-        return mpmath.sqrt(s)
-
-    def submatrix(self, keep: Sequence[int]) -> "SymMatrix":
-        out = SymMatrix(len(keep))
-        for a, i in enumerate(keep):
-            for b, j in enumerate(keep):
-                if a <= b:
-                    out.set(a, b, self.get(i, j))
-        return out
-
-
-def _eigsy(M: SymMatrix, eigvals_only: bool):
+def _eigsy(M: mpmath.matrix, eigvals_only: bool):
     try:
-        return mpmath.eigsy(mpmath.matrix(M.dense()), eigvals_only=eigvals_only)
+        return mpmath.eigsy(M, eigvals_only=eigvals_only)
     except RuntimeError as exc:
         raise EigenFailure(str(exc)) from exc
 
 
-def sym_eigen(M: SymMatrix) -> list:
+def sym_eigen(M: mpmath.matrix) -> list:
     """Eigenvalues of a symmetric matrix (mpmath's ``eigsy``), sorted ascending."""
     return sorted(_eigsy(M, eigvals_only=True))
 
 
-def sym_eigenvectors(M: SymMatrix):
+def sym_eigenvectors(M: mpmath.matrix):
     """(eigenvalues, eigenvector matrix) of a symmetric matrix, in mpmath's
     order: column i of the matrix belongs to eigenvalue i."""
     return _eigsy(M, eigvals_only=False)
@@ -345,14 +299,15 @@ def solve_dense(A: Sequence[Sequence], b: Sequence) -> list:
     return x
 
 
-def cholesky_pd(M: SymMatrix) -> bool:
-    """True iff M admits a Cholesky factorization with strictly positive pivots."""
-    n = M.order
-    a = M.dense()
+def cholesky_pd(M: mpmath.matrix) -> bool:
+    """True iff the symmetric M admits a Cholesky factorization with strictly
+    positive pivots.  (mpmath.cholesky instead rejects every pivot below an
+    absolute epsilon.)"""
+    n = M.rows
     L = [[mpf(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1):
-            s = a[i][j]
+            s = M[i, j]
             for k in range(j):
                 s -= L[i][k] * L[j][k]
             if i == j:

@@ -18,7 +18,7 @@ import mpmath
 from mpmath import mp, mpc, mpf
 
 from .jacobi import JacobiCache, JacobiParams, build_jacobi
-from .numkernel import Poly, SymMatrix, aberth_roots, cholesky_pd, solve_dense, taylor_poly, tol
+from .numkernel import Poly, SingularSystem, aberth_roots, cholesky_pd, solve_dense, taylor_poly, tol
 
 # Below this separation the closed Christoffel-Darboux form of the kernel
 # is numerically unsafe and the direct sum is used instead.
@@ -172,8 +172,14 @@ def inner_sobolev(f: Poly, g: Poly, product: SobolevProduct, cache: JacobiCache)
     return acc
 
 
+def _dot(u, v) -> mpf:
+    """sum_i u_i v_i, accumulated left to right."""
+    return sum((a * b for a, b in zip(u, v)), mpf(0))
+
+
 def kernel_dk(cache: JacobiCache, n: int, ell: int, k: int, x, y) -> mpf:
-    """Derivative kernel K_{n-1}^{(ell,k)}(x, y) by direct summation."""
+    """Derivative kernel K_{n-1}^{(ell,k)}(x, y) by direct summation; the
+    reference for SobolevFamily.kernel."""
     x, y = mpf(x), mpf(y)
     acc = mpf(0)
     for nu in range(n):
@@ -206,9 +212,15 @@ def kernel_poly_dk(cache: JacobiCache, n: int, k: int, y) -> Poly:
 
 @dataclass
 class SobolevFamily:
-    """S_0..S_n with derivative vectors at the mass points and the
-    connection-formula numerators (A2, B2) over the denominator rho.
+    """S_0..S_n with derivative vectors at the mass points, Jacobi
+    coefficients, Lambda_m and the connection-formula numerators (A2, B2)
+    over the denominator rho.
 
+    All of them are read from one table: v_nu = (P_nu^(k)(c_j)) over the
+    active pairs, one row per degree.  ``kernel`` holds
+    K_top(C, C) = sum_{nu<=top} v_nu v_nu^T / h_nu and grows by one term per
+    degree, and S_m = sum_nu a_nu P_nu with a_m = 1 and
+    a_nu = -(lambda o s_m) . v_nu / h_nu, where s_m is the derivative vector.
     ``ladder_memo`` and ``zeros_memo`` hold the results of build_ladder and
     zeros per (n, working precision)."""
 
@@ -219,6 +231,13 @@ class SobolevFamily:
     conn_numerators: list = field(default_factory=list)
     ladder_memo: dict = field(default_factory=dict, repr=False, compare=False)
     zeros_memo: dict = field(default_factory=dict, repr=False, compare=False)
+    jacobi_values: list = field(default_factory=list, init=False, repr=False, compare=False)
+    jacobi_rows: list = field(default_factory=list, init=False, repr=False, compare=False)
+    lambda_forms: list = field(default_factory=list, init=False, repr=False, compare=False)
+    kernel: mpmath.matrix = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.kernel = mpmath.matrix(self.product.d_star, self.product.d_star)
 
     @property
     def top(self) -> int:
@@ -233,18 +252,9 @@ class SobolevFamily:
         return self.deriv_vectors[m]
 
     def jacobi_coeffs(self, n: int) -> list:
-        """a_0..a_n with S_n = sum_nu a_nu P_nu: a_n = 1 and, from the kernel
-        form of S_n, a_nu = -sum lambda s_{j,k} P_nu^(k)(c_j) / h_nu."""
-        cache, product = self.jacobi_cache, self.product
-        sder = self.deriv_vector(n)
-        coeffs = []
-        for nu in range(n):
-            p = cache.poly(nu)
-            acc = mpf(0)
-            for (j, k, lam), sval in zip(product.active_pairs, sder):
-                acc += lam * sval * p.deriv(k)(product.points[j].c)
-            coeffs.append(-acc / cache.norm(nu))
-        return coeffs + [mpf(1)]
+        """a_0..a_n with S_n = sum_nu a_nu P_nu."""
+        self.extend(n)
+        return self.jacobi_rows[n]
 
     def zeros(self, n: int) -> list:
         """Zeros of S_n as poly_roots returns them: Aberth iteration on the
@@ -262,8 +272,9 @@ class SobolevFamily:
         return list(self.zeros_memo[key])
 
     def sobolev_norm_sq(self, m: int) -> mpf:
-        s = self.poly(m)
-        return inner_sobolev(s, s, self.product, self.jacobi_cache)
+        """<S_m, S_m>_s = <S_m, P_m>_s = h_m + Lambda_m."""
+        self.extend(m)
+        return self.jacobi_cache.norm(m) + self.lambda_forms[m]
 
     def extend(self, n: int) -> None:
         while self.top < n:
@@ -276,53 +287,35 @@ class SobolevFamily:
         pairs = product.active_pairs
         dstar = len(pairs)
         pm = cache.poly(m)
+        vm = [pm.deriv(k)(product.points[j].c) for j, k, _ in pairs]
+        kmat = self.kernel  # K_{m-1}(C, C) over the active pairs
 
-        if m == 0 or dstar == 0:
-            sm = pm
-            sder = [pm.deriv(k)(product.points[j].c) for j, k, _ in pairs]
-            self.sob_polys.append(sm)
-            self.deriv_vectors.append(sder)
-            self.conn_numerators.append(self._connection_numerators(m, sder))
-            return
-
-        # Kernel matrix K_{m-1}(C, C) over the active pairs.
-        kmat = [
-            [
-                kernel_dk(cache, m, ki, kj, product.points[ji].c, product.points[jj].c)
-                for jj, kj, _ in pairs
-            ]
-            for ji, ki, _ in pairs
-        ]
         # Positive-definiteness of L^{-1} + K backs nonsingularity of I + K L.
         if m >= product.d:
-            shifted = SymMatrix(dstar)
-            for i in range(dstar):
-                for j in range(i, dstar):
-                    v = (kmat[i][j] + kmat[j][i]) / 2
-                    if i == j:
-                        v += 1 / pairs[i][2]
-                    shifted.set(i, j, v)
+            shifted = kmat.copy()
+            for i, (_, _, lam) in enumerate(pairs):
+                shifted[i, i] += 1 / lam
             if not cholesky_pd(shifted):
                 raise InternalContradiction(
                     f"L^-1 + K_{m - 1}(C,C) failed the positive-definiteness check"
                 )
 
         A = [
-            [kmat[i][j] * pairs[j][2] + (1 if i == j else 0) for j in range(dstar)]
+            [kmat[i, j] * pairs[j][2] + (1 if i == j else 0) for j in range(dstar)]
             for i in range(dstar)
         ]
-        rhs = [pm.deriv(k)(product.points[j].c) for j, k, _ in pairs]
         try:
-            sder = solve_dense(A, rhs)
-        except Exception as exc:  # theoretically impossible for valid products
+            sder = solve_dense(A, vm)
+        except SingularSystem as exc:  # theoretically impossible for valid products
             raise InternalContradiction(str(exc)) from exc
 
-        sm = pm
-        for (j, k, lam), sval in zip(pairs, sder):
-            sm = sm - (lam * sval) * kernel_poly_dk(cache, m, k, product.points[j].c)
+        weights = [lam * sval for (_, _, lam), sval in zip(pairs, sder)]
+        row = [-_dot(weights, v) / cache.norm(nu) for nu, v in enumerate(self.jacobi_values)]
+        row.append(mpf(1))
+        sm = sum((a * cache.poly(nu) for nu, a in enumerate(row)), Poly.zero())
 
         # Consistency: the solved derivative vector equals direct evaluation.
-        check_tol = tol(3) * max(mpf(1), max(abs(v) for v in sder))
+        check_tol = tol(3) * max([mpf(1)] + [abs(v) for v in sder])
         for (j, k, _), sval in zip(pairs, sder):
             direct = sm.deriv(k)(product.points[j].c)
             if abs(direct - sval) > check_tol:
@@ -333,6 +326,13 @@ class SobolevFamily:
         self.sob_polys.append(sm)
         self.deriv_vectors.append(sder)
         self.conn_numerators.append(self._connection_numerators(m, sder))
+        self.jacobi_rows.append(row)
+        self.lambda_forms.append(_dot(weights, vm))
+        self.jacobi_values.append(vm)
+        hm = cache.norm(m)
+        for i in range(dstar):
+            for j in range(dstar):
+                kmat[i, j] += vm[i] * vm[j] / hm
 
     def _connection_numerators(self, m: int, sder: list):
         """(A2, B2): numerators over rho of the connection coefficients

@@ -366,7 +366,7 @@ class TestCriterion09:
             gu, gd = gradient(fd, up), gradient(fd, dn)
             for j in range(len(pts)):
                 fd_h = (gu[j] - gd[j]) / (2 * h)
-                assert abs(fd_h - H.get(j, k)) <= mpf("1e-8") * max(1, abs(H.get(j, k)))
+                assert abs(fd_h - H[j, k]) <= mpf("1e-8") * max(1, abs(H[j, k]))
 
     @pytest.mark.parametrize("which", [1, 2, 3])
     def test_critical_point_identity(self, all_families, which):

@@ -2,9 +2,12 @@
 
 import json
 import os
+import tempfile
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from jacobisobolev import cli, ladder, sobolev
@@ -283,3 +286,34 @@ class TestExitCodes:
         assert len(got) == len(want)
         for (re, im), (wre, wim) in zip(got, want):
             assert abs(mpmath.mpc(re, im) - mpmath.mpc(wre, wim)) <= limit * max(1, abs(wre))
+
+
+@st.composite
+def small_configs(draw):
+    """Small random products: beta in [0, 120], |c| in [1, 4], k <= 2."""
+    locations = draw(st.lists(st.integers(100, 400), min_size=1, max_size=2, unique=True))
+    points = []
+    for hundredths in locations:
+        sign = draw(st.sampled_from(["", "-"]))
+        orders = draw(st.lists(st.integers(0, 2), min_size=1, max_size=2, unique=True))
+        terms = [{"k": k, "lambda": draw(st.sampled_from(["0.5", "1", "3"]))} for k in orders]
+        points.append({"c": f"{sign}{hundredths / 100}", "terms": terms})
+    return {
+        "alpha": draw(st.sampled_from(["0", "0.5", "2"])),
+        "beta": str(draw(st.integers(0, 120))),
+        "points": points,
+        "n": draw(st.integers(1, 8)),
+        "precision_bits": draw(st.sampled_from([64, 128, 256])),
+    }
+
+
+@given(small_configs())
+@settings(max_examples=10, deadline=None, derandomize=True)
+def test_every_command_ends_in_0_2_or_3(doc):
+    # A traceback is a bug: every input ends in a report or a named failure.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "config.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        for command in sorted(cli.COMMANDS):
+            assert main([command, "--config", path, "--out", os.path.join(tmp, "out")]) in (0, 2, 3), command

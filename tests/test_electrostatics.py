@@ -113,9 +113,7 @@ class TestEnergyDerivatives:
             gu, gd = gradient(fd2, up), gradient(fd2, dn)
             for j in range(len(pts)):
                 fd_val = (gu[j] - gd[j]) / (2 * h)
-                assert abs(fd_val - H.get(j, k)) <= mpf("1e-8") * max(
-                    1, abs(H.get(j, k))
-                )
+                assert abs(fd_val - H[j, k]) <= mpf("1e-8") * max(1, abs(H[j, k]))
 
     def test_coincident_charges_raise(self, fd3):
         with pytest.raises(SingularConfiguration):

@@ -14,7 +14,6 @@ from jacobisobolev.numkernel import (
     Poly,
     RootFailure,
     SingularSystem,
-    SymMatrix,
     aberth_roots,
     cholesky_pd,
     poly_roots,
@@ -126,7 +125,7 @@ class TestTaylor:
 
 class TestLinearAlgebra:
     def test_sym_eigen_2x2(self):
-        m = SymMatrix(2, [[2, 1], [1, 2]])
+        m = mpmath.matrix([[2, 1], [1, 2]])
         eigs = sym_eigen(m)
         assert abs(eigs[0] - 1) < tol(2)
         assert abs(eigs[1] - 3) < tol(2)
@@ -134,11 +133,11 @@ class TestLinearAlgebra:
     def test_sym_eigen_tridiagonal_closed_form(self):
         # tridiag(-1, 2, -1) of order n has eigenvalues 2 - 2 cos(k pi / (n + 1))
         n = 40
-        m = SymMatrix(n)
+        m = mpmath.matrix(n, n)
         for i in range(n):
-            m.set(i, i, 2)
+            m[i, i] = 2
             if i + 1 < n:
-                m.set(i, i + 1, -1)
+                m[i, i + 1] = m[i + 1, i] = -1
         want = sorted(2 - 2 * mpmath.cos(k * mpmath.pi / (n + 1)) for k in range(1, n + 1))
         got = sym_eigen(m)
         assert len(got) == n
@@ -151,19 +150,19 @@ class TestLinearAlgebra:
 
         monkeypatch.setattr(mpmath, "eigsy", no_convergence)
         with pytest.raises(EigenFailure):
-            sym_eigen(SymMatrix(2, [[2, 1], [1, 2]]))
+            sym_eigen(mpmath.matrix([[2, 1], [1, 2]]))
 
     @given(st.lists(st.integers(-9, 9), min_size=9, max_size=9))
     @settings(max_examples=30, deadline=None)
     def test_sym_eigen_trace_invariant(self, vals):
-        m = SymMatrix(3)
+        m = mpmath.matrix(3, 3)
         idx = 0
         for i in range(3):
             for j in range(i, 3):
-                m.set(i, j, vals[idx])
+                m[i, j] = m[j, i] = vals[idx]
                 idx += 1
         eigs = sym_eigen(m)
-        trace = sum(m.get(i, i) for i in range(3))
+        trace = sum(m[i, i] for i in range(3))
         assert abs(sum(eigs) - trace) <= tol(2) * max(1, abs(trace))
 
     def test_solve_dense(self):
@@ -176,8 +175,8 @@ class TestLinearAlgebra:
             solve_dense([[1, 2], [2, 4]], [1, 2])
 
     def test_cholesky_pd(self):
-        assert cholesky_pd(SymMatrix(2, [[2, 1], [1, 2]]))
-        assert not cholesky_pd(SymMatrix(2, [[1, 2], [2, 1]]))
+        assert cholesky_pd(mpmath.matrix([[2, 1], [1, 2]]))
+        assert not cholesky_pd(mpmath.matrix([[1, 2], [2, 1]]))
 
 
 class TestRoots:

@@ -8,7 +8,7 @@ import mpmath
 import pytest
 from mpmath import mpc, mpf
 
-from jacobisobolev import numkernel
+from jacobisobolev import numkernel, sobolev
 from jacobisobolev.jacobi import JacobiParams, build_jacobi
 from jacobisobolev.numkernel import Poly, RootFailure, tol
 from jacobisobolev.sobolev import (
@@ -221,6 +221,57 @@ class TestConstruction:
         cache = build_jacobi(JacobiParams(0, 0), 5)
         for m in range(6):
             assert (family.poly(m) - cache.poly(m)).max_abs_coeff() <= tol(2)
+
+
+class TestJacobiTable:
+    @pytest.mark.parametrize("which", [0, 1, 2, 3])
+    def test_table_matches_kernel_sums(self, all_products, which):
+        # The in-place kernel matrix against kernel_dk (the same sum in the
+        # same order, so equal), and S_m from the Jacobi coefficients against
+        # P_m - sum lambda s K_{m-1}^{(0,k)}(x, c).
+        product = all_products[which]
+        pairs = product.active_pairs
+        family = build_family(product, 0)
+        cache = family.jacobi_cache
+        for m in range(1, 13):
+            for a, (ja, ka, _) in enumerate(pairs):
+                for b, (jb, kb, _) in enumerate(pairs):
+                    want = kernel_dk(cache, m, ka, kb, product.points[ja].c, product.points[jb].c)
+                    assert family.kernel[a, b] == want, (m, a, b)
+            want = cache.poly(m)
+            for (j, k, lam), sval in zip(pairs, family.deriv_vector(m)):
+                want = want - (lam * sval) * kernel_poly_dk(cache, m, k, product.points[j].c)
+            sm = family.poly(m)
+            assert (sm - want).max_abs_coeff() <= tol(3) * max(1, want.max_abs_coeff()), m
+
+    def test_build_makes_no_kernel_sums(self, monkeypatch, intro_product):
+        def forbidden(*args):
+            raise AssertionError("kernel summed from scratch")
+
+        monkeypatch.setattr(sobolev, "kernel_dk", forbidden)
+        monkeypatch.setattr(sobolev, "kernel_poly_dk", forbidden)
+        assert intro_product.d_star == 2
+        family = build_family(intro_product, 20)
+        assert len(family.jacobi_coeffs(20)) == 21
+
+    def test_norm_at_128_bits_matches_640_bits(self):
+        # <S_n, S_n> summed over the monomial coefficients lost 8 digits
+        # more than 128 bits carry here; h_n + Lambda_n keeps them.
+        product = SobolevProduct(JacobiParams(2, 90), [MassPoint(-4, [(0, 2)]), MassPoint(-2, [(0, 2)])])
+        with mpmath.workprec(640):
+            want = build_family(product, 28).sobolev_norm_sq(28)
+        with mpmath.workprec(128):
+            got = build_family(product, 28).sobolev_norm_sq(28)
+            limit = tol(2)
+        assert abs(got - want) <= limit * want
+
+    @pytest.mark.parametrize("which", [0, 1, 2, 3])
+    def test_norm_is_the_inner_product(self, all_families, which):
+        family = all_families[which]
+        for m in range(9):
+            sm = family.poly(m)
+            want = inner_sobolev(sm, sm, family.product, family.jacobi_cache)
+            assert abs(family.sobolev_norm_sq(m) - want) <= tol(3) * want, m
 
 
 class TestSequentialOrdering:
