@@ -11,10 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import mpmath
-from mpmath import mp, mpf
-from mpmath.matrices.eigen_symmetric import tridiag_eigen
+from mpmath import mpf
 
-from .numkernel import EigenFailure, Poly
+from .numkernel import Poly
 
 
 class InvalidMeasure(Exception):
@@ -113,33 +112,27 @@ class JacobiCache:
         return self.norms[k]
 
     def eval_series(self, coeffs, x):
-        """(f(x), f'(x)) for f = sum_k coeffs[k] P_k, by the monic three-term
-        recurrence: O(len(coeffs)) operations, for a real or complex x."""
-        n = len(coeffs) - 1
-        self.extend(n)
-        p_prev, p = 0, 1
-        d_prev, d = 0, 0
-        value, slope = coeffs[0] * p, 0
-        for k in range(n):
-            shift = x - self.gamma1s[k]
-            g2 = self.gamma2s[k]
-            p_prev, p, d_prev, d = p, shift * p - g2 * p_prev, d, p + shift * d - g2 * d_prev
-            value += coeffs[k + 1] * p
-            slope += coeffs[k + 1] * d
-        return value, slope
+        """series_values of coeffs at x over this cache's recurrence."""
+        self.extend(len(coeffs) - 1)
+        return series_values(coeffs, self.gamma1s, self.gamma2s, x)
 
-    def nodes(self, n: int) -> list:
-        """Zeros of P_n, ascending: the eigenvalues of the Jacobi matrix
-        (Golub-Welsch), which has gamma1_k on its diagonal and
-        sqrt(gamma2_k) beside it."""
-        self.extend(n)
-        diag = list(self.gamma1s[:n])
-        off = [mpmath.sqrt(g) for g in self.gamma2s[1:n]] + [mpf(0)]
-        try:
-            tridiag_eigen(mp, diag, off)
-        except RuntimeError as exc:
-            raise EigenFailure(str(exc)) from exc
-        return diag
+
+def series_values(coeffs, gamma1s, gamma2s, x):
+    """(f(x), f'(x), sum_k |coeffs[k] P_k(x)|) for f = sum_k coeffs[k] P_k,
+    by the monic three-term recurrence with gamma1s[k], gamma2s[k]: O(len(coeffs))
+    operations, in the arithmetic of the arguments (mpf, mpc, float or complex)."""
+    p_prev, p = 0, 1
+    d_prev, d = 0, 0
+    value, slope, scale = coeffs[0], 0, abs(coeffs[0])
+    for k in range(len(coeffs) - 1):
+        shift = x - gamma1s[k]
+        g2 = gamma2s[k]
+        p_prev, p, d_prev, d = p, shift * p - g2 * p_prev, d, p + shift * d - g2 * d_prev
+        term = coeffs[k + 1] * p
+        value += term
+        slope += coeffs[k + 1] * d
+        scale += abs(term)
+    return value, slope, scale
 
 
 def build_jacobi(params: JacobiParams, n: int) -> JacobiCache:

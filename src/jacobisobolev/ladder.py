@@ -72,7 +72,7 @@ class LadderData:
 
 def _conn_level(family: SobolevFamily, m: int):
     """(A2, B2, A3, B3) at family level m."""
-    a2, b2 = family.conn_numerators[m]
+    a2, b2 = family.connection_numerators(m)
     params = family.product.jacobi
     a_hat, b_hat, c_hat, d_hat = ladder_coeffs(params, m)
     one_minus_x2 = Poly((1, 0, -1))
@@ -220,7 +220,7 @@ def _build_ladder(family: SobolevFamily, n: int) -> LadderData:
 def delta_leading_expected(family: SobolevFamily, n: int) -> mpf:
     """Expected leading coefficient of Delta_n from the Lambda law."""
     d = family.product.d
-    b2p = family.conn_numerators[n - 1][1]
+    b2p = family.connection_numerators(n - 1)[1]
     lead = b2p.coeff(d - 1)
     if abs(lead) <= tol(2) * max(b2p.max_abs_coeff(), mpf(1)):
         return mpf(1)

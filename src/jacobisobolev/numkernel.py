@@ -233,6 +233,12 @@ class Poly:
     def __repr__(self) -> str:
         return f"Poly({[mpmath.nstr(c, 12) for c in self.coeffs]})"
 
+    def _mpmath_(self, prec, rounding):
+        # mpmath converts the other operand of mpf * Poly through this hook
+        # first; failing here makes it return NotImplemented (so __rmul__
+        # runs) before its fallback formats the polynomial into a TypeError.
+        raise TypeError("a Poly is not an mpmath scalar")
+
 
 def taylor_poly(f: Poly, y, k: int) -> Poly:
     """Taylor polynomial of degree <= k of f centered at y, in powers of x."""
@@ -363,8 +369,8 @@ def _snap_sort(zs) -> list:
     return out
 
 
-# Sweep cap of aberth_roots.  Seeded with the zeros of P_n, a zero of S_n
-# takes 5-8 steps on the shipped configs at n <= 40.
+# Sweep cap of aberth_roots.  Seeded from the double-precision stage of
+# SobolevFamily.zeros, a simple zero of S_n takes about 3 sweeps.
 ABERTH_MAX_SWEEPS = 200
 
 
@@ -372,24 +378,25 @@ def aberth_roots(evaluate, seeds: Sequence) -> list:
     """All roots of a polynomial of degree len(seeds) by Aberth-Ehrlich
     iteration, as poly_roots returns them (snapped and sorted (re, im)).
 
-    ``evaluate(z)`` returns (p(z), p'(z)) for a complex z; ``seeds`` are
-    distinct complex starting points, one per root.  Sweeps are Gauss-Seidel
-    (each update is used at once) and a root is frozen once its step is at
-    most 2^(-7p/8) (1 + |z|) at working precision p.  A root also stops
-    once its step is below 2^(-p/4) but less than halves from the step
-    before: near-multiple zeros stall there at the noise of the evaluation,
-    far above the first bound.  Raises RootFailure after ABERTH_MAX_SWEEPS.
+    ``evaluate(z)`` returns (p(z), p'(z), s(z)), where s(z) >= 0 bounds the
+    sizes of the terms summed into p(z); ``seeds`` are distinct starting
+    points, one per root.  The arithmetic is that of the seeds and of
+    ``evaluate``: mpc at working precision p, or Python complex under
+    mp.workprec(53).  Sweeps are Gauss-Seidel (each update is used at once)
+    and a root is frozen once its step is at most 2^(-7p/8) (1 + |z|), or
+    after the step taken from a point where |p(z)| <= n 2^(-p) s(z): there
+    the value is rounding noise, as near a multiple zero, and no further
+    step can gain.  Raises RootFailure after ABERTH_MAX_SWEEPS.
     """
-    zs = [mpc(z) for z in seeds]
+    zs = list(seeds)
     n = len(zs)
     done_eps = mpf(2) ** (-(7 * mp.prec) // 8)
-    stall_eps = mpf(2) ** (-mp.prec // 4)
-    last = [None] * n
+    noise_eps = n * mpf(2) ** -mp.prec
     active = set(range(n))
     for _ in range(ABERTH_MAX_SWEEPS):
         for i in sorted(active):
             z = zs[i]
-            value, slope = evaluate(z)
+            value, slope, scale = evaluate(z)
             if value == 0:
                 active.discard(i)
                 continue
@@ -399,12 +406,8 @@ def aberth_roots(evaluate, seeds: Sequence) -> list:
             pull = sum(1 / (z - w) for j, w in enumerate(zs) if j != i)
             step = ratio / (1 - ratio * pull)
             zs[i] = z - step
-            size = abs(step)
-            if size <= done_eps * (1 + abs(zs[i])) or (
-                size < stall_eps and last[i] is not None and size > last[i] / 2
-            ):
+            if abs(step) <= done_eps * (1 + abs(zs[i])) or abs(value) <= noise_eps * scale:
                 active.discard(i)
-            last[i] = size
         if not active:
             return _snap_sort(zs)
     raise RootFailure(f"degree-{n} Aberth iteration: no convergence in {ABERTH_MAX_SWEEPS} sweeps")

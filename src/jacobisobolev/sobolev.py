@@ -10,6 +10,7 @@ combination of derivative Christoffel-Darboux kernels.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import groupby
@@ -17,16 +18,19 @@ from itertools import groupby
 import mpmath
 from mpmath import mp, mpc, mpf
 
-from .jacobi import JacobiCache, JacobiParams, build_jacobi
-from .numkernel import Poly, SingularSystem, aberth_roots, cholesky_pd, solve_dense, taylor_poly, tol
+from .jacobi import JacobiCache, JacobiParams, build_jacobi, series_values
+from .numkernel import Poly, RootFailure, SingularSystem, aberth_roots, cholesky_pd
+from .numkernel import solve_dense, taylor_poly, tol
 
 # Below this separation the closed Christoffel-Darboux form of the kernel
 # is numerically unsafe and the direct sum is used instead.
 CD_SEPARATION = mpf("1e-8")
 
-# Imaginary offset of the Aberth seeds, with alternating sign: the iteration
+# Imaginary offsets, with alternating sign, of the double-precision Aberth
+# seeds (absolute) and of the real roots it returns (relative): the iteration
 # cannot leave the real axis from real seeds, and S_n may have complex zeros.
-SEED_NUDGE = mpf("1e-3")
+SEED_NUDGE = 1e-3
+ROOT_NUDGE = 1e-14
 
 
 class SobolevError(Exception):
@@ -213,24 +217,25 @@ def kernel_poly_dk(cache: JacobiCache, n: int, k: int, y) -> Poly:
 @dataclass
 class SobolevFamily:
     """S_0..S_n with derivative vectors at the mass points, Jacobi
-    coefficients, Lambda_m and the connection-formula numerators (A2, B2)
-    over the denominator rho.
+    coefficients, Lambda_m and, on demand, the connection-formula numerators
+    (A2, B2) over the denominator rho.
 
     All of them are read from one table: v_nu = (P_nu^(k)(c_j)) over the
     active pairs, one row per degree.  ``kernel`` holds
     K_top(C, C) = sum_{nu<=top} v_nu v_nu^T / h_nu and grows by one term per
     degree, and S_m = sum_nu a_nu P_nu with a_m = 1 and
     a_nu = -(lambda o s_m) . v_nu / h_nu, where s_m is the derivative vector.
-    ``ladder_memo`` and ``zeros_memo`` hold the results of build_ladder and
-    zeros per (n, working precision)."""
+    ``ladder_memo``, ``zeros_memo`` and ``conn_memo`` hold the results of
+    build_ladder, zeros and connection_numerators per (n, working
+    precision)."""
 
     product: SobolevProduct
     jacobi_cache: JacobiCache
     sob_polys: list = field(default_factory=list)
     deriv_vectors: list = field(default_factory=list)
-    conn_numerators: list = field(default_factory=list)
     ladder_memo: dict = field(default_factory=dict, repr=False, compare=False)
     zeros_memo: dict = field(default_factory=dict, repr=False, compare=False)
+    conn_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     jacobi_values: list = field(default_factory=list, init=False, repr=False, compare=False)
     jacobi_rows: list = field(default_factory=list, init=False, repr=False, compare=False)
     lambda_forms: list = field(default_factory=list, init=False, repr=False, compare=False)
@@ -258,16 +263,14 @@ class SobolevFamily:
 
     def zeros(self, n: int) -> list:
         """Zeros of S_n as poly_roots returns them: Aberth iteration on the
-        Jacobi expansion, seeded with the zeros of P_n.  Memoised per
-        (n, working precision); each call returns a new list."""
+        Jacobi expansion at working precision, seeded with the zeros from
+        a double-precision run of the same iteration (_double_seeds).
+        Memoised per (n, working precision); each call returns a new list."""
         key = (n, mp.prec)
         if key not in self.zeros_memo:
             coeffs = self.jacobi_coeffs(n)
-            seeds = [
-                mpc(x, SEED_NUDGE if i % 2 == 0 else -SEED_NUDGE)
-                for i, x in enumerate(self.jacobi_cache.nodes(n))
-            ]
             evaluate = partial(self.jacobi_cache.eval_series, coeffs)
+            seeds = _double_seeds(coeffs, self.jacobi_cache)
             self.zeros_memo[key] = tuple(aberth_roots(evaluate, seeds))
         return list(self.zeros_memo[key])
 
@@ -325,7 +328,6 @@ class SobolevFamily:
 
         self.sob_polys.append(sm)
         self.deriv_vectors.append(sder)
-        self.conn_numerators.append(self._connection_numerators(m, sder))
         self.jacobi_rows.append(row)
         self.lambda_forms.append(_dot(weights, vm))
         self.jacobi_values.append(vm)
@@ -334,9 +336,16 @@ class SobolevFamily:
             for j in range(dstar):
                 kmat[i, j] += vm[i] * vm[j] / hm
 
-    def _connection_numerators(self, m: int, sder: list):
+    def connection_numerators(self, m: int):
         """(A2, B2): numerators over rho of the connection coefficients
         F_{1,m}, G_{1,m} with S_m = F_{1,m} P_m + G_{1,m} P_{m-1}."""
+        key = (m, mp.prec)
+        if key not in self.conn_memo:
+            self.conn_memo[key] = self._connection_numerators(m)
+        return self.conn_memo[key]
+
+    def _connection_numerators(self, m: int):
+        sder = self.deriv_vector(m)
         product, cache = self.product, self.jacobi_cache
         rho = product.rho()
         if m == 0:
@@ -351,6 +360,34 @@ class SobolevFamily:
             a2 = a2 - coef * (taylor_poly(cache.poly(m - 1), c, k) * rjk)
             b2 = b2 + coef * (taylor_poly(cache.poly(m), c, k) * rjk)
         return a2, b2
+
+
+def _double_seeds(coeffs: list, cache: JacobiCache) -> list:
+    """Starting points for the Aberth iteration on sum_k coeffs[k] P_k at
+    working precision: its zeros from the same iteration run on float
+    copies of the coefficients and the recurrence, in complex arithmetic
+    from nudged Chebyshev points, each real one nudged off the axis by
+    ROOT_NUDGE (1 + |x|).  When that run fails or leaves a non-finite or
+    repeated root, the nudged Chebyshev points themselves."""
+    n = len(coeffs) - 1
+    cache.extend(n)
+    chebyshev = [
+        complex(math.cos((2 * i + 1) * math.pi / (2 * n)), SEED_NUDGE if i % 2 == 0 else -SEED_NUDGE)
+        for i in range(n)
+    ]
+    try:
+        floats = [[float(v) for v in vs[: n + 1]] for vs in (coeffs, cache.gamma1s, cache.gamma2s)]
+        with mp.workprec(53):
+            roots = aberth_roots(partial(series_values, *floats), chebyshev)
+        seeds = [
+            mpc(re, im or (ROOT_NUDGE if i % 2 == 0 else -ROOT_NUDGE) * (1 + abs(re)))
+            for i, (re, im) in enumerate(roots)
+        ]
+    except (RootFailure, ArithmeticError):
+        seeds = []
+    if len(set(seeds)) == n and all(mpmath.isfinite(z) for z in seeds):
+        return seeds
+    return [mpc(z) for z in chebyshev]
 
 
 def build_family(product: SobolevProduct, n: int) -> SobolevFamily:

@@ -18,7 +18,7 @@ from jacobisobolev.cli import (
     load_config,
     main,
 )
-from jacobisobolev.numkernel import tol
+from jacobisobolev.numkernel import Poly, tol
 from jacobisobolev.sobolev import build_family
 
 INTRO_CONFIG = {
@@ -200,14 +200,48 @@ class TestDeterminism:
             return real_polyroots(coeffs, *args, **kwargs)
 
         def counting_aberth(evaluate, seeds):
-            aberth_calls.append(len(seeds))
+            aberth_calls.append((mp.prec, len(seeds)))
             return real_aberth(evaluate, seeds)
 
         monkeypatch.setattr(mpmath, "polyroots", counting_polyroots)
         monkeypatch.setattr(sobolev, "aberth_roots", counting_aberth)
         assert main(["electro", "--config", write_config(tmp_path, SADDLE_CONFIG)]) == 0
-        assert aberth_calls == [SADDLE_CONFIG["n"]]
-        assert degrees and SADDLE_CONFIG["n"] not in degrees
+        n = SADDLE_CONFIG["n"]
+        assert aberth_calls == [(53, n), (256, n)]  # the double-precision seeds, then the zeros
+        assert degrees and n not in degrees
+
+    def test_connection_numerators_on_demand(self, tmp_path, monkeypatch):
+        # polys and zeros never read (A2, B2); electro reads them at n - 1 and n.
+        levels = []
+        real = sobolev.SobolevFamily._connection_numerators
+
+        def counting(family, m):
+            levels.append(m)
+            return real(family, m)
+
+        monkeypatch.setattr(sobolev.SobolevFamily, "_connection_numerators", counting)
+        path = write_config(tmp_path, SADDLE_CONFIG)
+        for command in ("polys", "zeros", "electro"):
+            assert main([command, "--config", path, "--out", str(tmp_path / f"{command}.json")]) == 0
+        assert sorted(levels) == [SADDLE_CONFIG["n"] - 1, SADDLE_CONFIG["n"]]
+
+    @pytest.mark.parametrize("command", ["ode", "electro"])
+    def test_reports_never_format_polys(self, tmp_path, monkeypatch, command):
+        # mpf * Poly must reach Poly.__rmul__ without mpmath formatting the
+        # polynomial into an error message first.
+        shipped = os.path.join(CONFIG_DIR, "two_symmetric_masses.json")
+        args = [command, "--config", shipped, "--n", "10"]
+        plain = str(tmp_path / "plain.json")
+        assert main([*args, "--out", plain]) == 0
+
+        def no_repr(self):
+            raise AssertionError("Poly.__repr__ called")
+
+        monkeypatch.setattr(Poly, "__repr__", no_repr)
+        patched = str(tmp_path / "patched.json")
+        assert main([*args, "--out", patched]) == 0
+        with open(plain, "rb") as f1, open(patched, "rb") as f2:
+            assert f1.read() == f2.read()
 
     def test_caller_precision_restored(self, tmp_path):
         before = mp.prec

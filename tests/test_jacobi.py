@@ -15,8 +15,9 @@ from jacobisobolev.jacobi import (
     ladder_coeffs,
     log_norm,
     raise_over_gamma2,
+    series_values,
 )
-from jacobisobolev.numkernel import Poly, tol
+from jacobisobolev.numkernel import Poly, sym_eigen, tol
 
 PARAM_SETS = [(0, 0), (0, 100), (0, 110), (mpf("0.5"), mpf("-0.3")), (2, 3)]
 
@@ -58,8 +59,17 @@ class TestRecurrence:
 
     @pytest.mark.parametrize("a,b", PARAM_SETS)
     def test_nodes_match_gauss_quadrature(self, a, b):
-        nodes = build_jacobi(JacobiParams(a, b), 12).nodes(12)
-        want = sorted(mpmath.mp.gauss_quadrature(12, "jacobi", a, b)[0])
+        # The zeros of P_n are the eigenvalues of the Jacobi matrix
+        # (Golub-Welsch): gamma1_k on its diagonal, sqrt(gamma2_k) beside it.
+        n = 12
+        cache = build_jacobi(JacobiParams(a, b), n)
+        J = mpmath.matrix(n, n)
+        for k in range(n):
+            J[k, k] = cache.gamma1s[k]
+            if k:
+                J[k, k - 1] = J[k - 1, k] = mpmath.sqrt(cache.gamma2s[k])
+        nodes = sym_eigen(J)
+        want = sorted(mpmath.mp.gauss_quadrature(n, "jacobi", a, b)[0])
         assert max(abs(x - w) for x, w in zip(nodes, want)) < tol(2)
 
     @pytest.mark.parametrize("x", [mpf("0.3"), mpf(-2), mpmath.mpc("0.5", "-0.25")])
@@ -69,9 +79,24 @@ class TestRecurrence:
         f = Poly.zero()
         for k, c in enumerate(coeffs):
             f = f + c * cache.poly(k)
-        value, slope = cache.eval_series(coeffs, x)
+        value, slope, scale = cache.eval_series(coeffs, x)
         assert abs(value - f(x)) < tol(2) * max(1, abs(f(x)))
         assert abs(slope - f.deriv()(x)) < tol(2) * max(1, abs(f.deriv()(x)))
+        want = sum(abs(c * cache.poly(k)(x)) for k, c in enumerate(coeffs))
+        assert abs(scale - want) < tol(2) * want
+
+    def test_series_values_in_double(self):
+        # The double-precision stage of SobolevFamily.zeros runs the same
+        # recurrence on float copies of the coefficients and the gammas.
+        cache = build_jacobi(JacobiParams(mpf("0.5"), 7), 9)
+        coeffs = [mpf(k + 1) / 3 for k in range(10)]
+        x = mpmath.mpc("0.5", "-0.25")
+        want = cache.eval_series(coeffs, x)
+        floats = [[float(v) for v in vs[:10]] for vs in (coeffs, cache.gamma1s, cache.gamma2s)]
+        got = series_values(*floats, complex(x))
+        assert all(type(v) in (float, complex) for v in got)
+        for g, w in zip(got, want):
+            assert abs(g - complex(w)) < 1e-13 * max(1, abs(w))
 
     def test_gamma1_cancelled_at_zero(self):
         # alpha + beta = 0 makes the generic formula 0/0; the cancelled

@@ -25,6 +25,12 @@ from jacobisobolev.numkernel import (
     tol,
 )
 
+def monomial_evaluator(p):
+    """(p(z), p'(z), sum_k |c_k z^k|): aberth_roots' evaluator for a Poly."""
+    dp = p.deriv()
+    return lambda z: (p(z), dp(z), sum(abs(c) * abs(z) ** k for k, c in enumerate(p.coeffs)))
+
+
 small_coeffs = st.lists(
     st.integers(min_value=-50, max_value=50).map(mpf), min_size=1, max_size=9
 )
@@ -214,9 +220,8 @@ class TestRoots:
 
     def test_aberth_matches_poly_roots(self):
         p = Poly.from_roots([mpf(-2), mpf("-0.5"), mpf("0.25"), 3]) * Poly((5, 2, 1))  # and -1 +- 2i
-        dp = p.deriv()
         seeds = [mpc(k, (-1) ** k) / 2 for k in range(p.degree)]
-        got = aberth_roots(lambda z: (p(z), dp(z)), seeds)
+        got = aberth_roots(monomial_evaluator(p), seeds)
         want = poly_roots(p)
         assert [im == 0 for _, im in got] == [im == 0 for _, im in want]
         for (re, im), (wre, wim) in zip(got, want):
@@ -224,10 +229,33 @@ class TestRoots:
 
     def test_aberth_sweep_cap_is_named(self, monkeypatch):
         p = Poly.from_roots([1, 2, 3])
-        dp = p.deriv()
         monkeypatch.setattr(numkernel, "ABERTH_MAX_SWEEPS", 1)
         with pytest.raises(RootFailure):
-            aberth_roots(lambda z: (p(z), dp(z)), [mpc(0, 1), mpc(5, -1), mpc(-3, 1)])
+            aberth_roots(monomial_evaluator(p), [mpc(0, 1), mpc(5, -1), mpc(-3, 1)])
+
+    @pytest.mark.parametrize("delta", ["1e-21", "1e-30"])
+    def test_aberth_separates_near_double_zero(self, delta):
+        # ((x-1)^2 - delta^2)(x+2)(x-3) from seeds 1e-8 off the close pair:
+        # steps stall far above 2^(-7p/8) while the pair separates, and a
+        # rule that stops on stalling steps leaves it delta apart from the
+        # truth.  The noise rule stops only once |p(z)| is rounding noise.
+        with mpmath.workprec(256):
+            delta = mpf(delta)
+            want = [mpf(-2), 1 - delta, 1 + delta, mpf(3)]
+            p = Poly.from_roots(want)
+            seeds = [mpc(1, "1e-8"), mpc(1, "-1e-8"), mpc("-2.1", "1e-3"), mpc("3.1", "-1e-3")]
+            got = aberth_roots(monomial_evaluator(p), seeds)
+            assert all(im == 0 for _, im in got)
+            assert max(abs(re - w) for (re, _), w in zip(got, want)) < mpf("1e-45")
+
+    def test_aberth_runs_in_python_complex(self):
+        # The double-precision stage of SobolevFamily.zeros: no mpc anywhere.
+        def evaluate(z):
+            return z * z + 1, 2 * z, abs(z * z) + 1
+
+        with mpmath.workprec(53):
+            got = aberth_roots(evaluate, [complex(0.5, 0.5), complex(-0.5, -0.5)])
+        assert [(float(re), float(im)) for re, im in got] == pytest.approx([(0, -1), (0, 1)], abs=1e-14)
 
     def test_failure_is_named_and_not_cached(self, monkeypatch):
         p = Poly.from_roots([1, 2, 3])

@@ -375,6 +375,27 @@ class TestZeros:
         monkeypatch.undo()
         assert len(family.zeros(6)) == 6
 
+    def test_double_seeds_fall_back_to_chebyshev(self):
+        # A coefficient beyond the double range: the 53-bit stage cannot
+        # run, and the working-precision run starts from the nudged
+        # Chebyshev points.
+        family = build_family(SobolevProduct(JacobiParams(0, 0), []), 4)
+        coeffs = family.jacobi_coeffs(4)[:-1] + [mpf("1e400")]
+        seeds = sobolev._double_seeds(coeffs, family.jacobi_cache)
+        want = [complex(mpmath.cos((2 * i + 1) * mpmath.pi / 8), 1e-3 * (-1) ** i) for i in range(4)]
+        assert [complex(z) for z in seeds] == pytest.approx(want, abs=1e-15)
+
+    def test_double_seeds_are_nudged_zeros(self, ex1_family):
+        # The seeds are the zeros from the 53-bit stage, the real ones nudged
+        # off the axis by about 1e-14, with alternating sign.
+        seeds = sobolev._double_seeds(ex1_family.jacobi_coeffs(10), ex1_family.jacobi_cache)
+        zeros = ex1_family.zeros(10)
+        assert len(set(seeds)) == 10
+        for z, (re, im) in zip(sorted(seeds, key=lambda z: (z.real, z.imag)), zeros):
+            assert abs(z.real - re) < mpf("1e-12") * (1 + abs(re))
+            if im == 0:
+                assert mpf("1e-15") < abs(z.imag) < mpf("1e-13") * (1 + abs(re))
+
     def test_jacobi_expansion_matches_poly(self, all_families):
         points = [mpf("-0.9"), mpf("0.1"), mpf("0.7"), mpf(2), mpc("0.3", "0.2")]
         for family in all_families:
@@ -382,7 +403,7 @@ class TestZeros:
                 coeffs = family.jacobi_coeffs(n)
                 sn = family.poly(n)
                 for x in points:
-                    value, slope = family.jacobi_cache.eval_series(coeffs, x)
+                    value, slope, _ = family.jacobi_cache.eval_series(coeffs, x)
                     scale = sum(abs(c) * abs(x) ** k for k, c in enumerate(sn.coeffs))
                     assert abs(value - sn(x)) <= tol(2) * scale
                     assert abs(slope - sn.deriv()(x)) <= tol(2) * scale * (n + 1)
@@ -427,15 +448,26 @@ class TestZerosAccuracy:
     def test_near_double_zero_terminates(self):
         # An order-0 and an order-1 mass at c = -1.5 leave two zeros of S_24
         # 7e-13 apart there; Aberth steps stall at the noise level of that
-        # cluster and must stop by the stall rule.
+        # cluster and must stop by the noise rule.
         product = SobolevProduct(JacobiParams("0.5", 19), [MassPoint("-1.5", [(0, 1), (1, 1)])])
         zeros = build_family(product, 24).zeros(24)
         self.assert_close(zeros, refined_at_768_bits(product, 24, zeros), mpf("1e-55"))
 
+    def test_near_double_zero_separates(self):
+        # Order-0 and order-1 masses of 1/2 at c = -4 leave two real zeros of
+        # S_24 at -4 +- 2.1137e-21.  From double-precision seeds, a rule that
+        # stops stalling steps froze them 1.9e-24 apart, with 21 correct
+        # digits.
+        product = SobolevProduct(JacobiParams(2, 19), [MassPoint(-4, [(0, "0.5"), (1, "0.5")])])
+        zeros = build_family(product, 24).zeros(24)
+        self.assert_close(zeros, refined_at_768_bits(product, 24, zeros), mpf("1e-45"), min_gap=mpf("1e-21"))
+        pair = [re for re, im in zeros if abs(re + 4) < mpf("1e-10")]
+        assert len(pair) == 2 and abs(pair[1] - pair[0] - mpf("4.2274e-21")) < mpf("1e-24")
+
     @staticmethod
-    def assert_close(zeros, referee, limit):
+    def assert_close(zeros, referee, limit, min_gap=mpf("1e-20")):
         assert len(zeros) == len(referee)
         with mpmath.workprec(768):
             gaps = [abs(a - b) for i, a in enumerate(referee) for b in referee[i + 1:]]
-            assert min(gaps) > mpf(10) ** -20  # n distinct roots: every root of S_n
+            assert min(gaps) > min_gap  # n distinct roots: every root of S_n
             assert max(abs(mpc(re, im) - r) for (re, im), r in zip(zeros, referee)) <= limit
