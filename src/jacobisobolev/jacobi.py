@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import mpmath
 from mpmath import mpf
 
-from .numkernel import Poly
+from .numkernel import Poly, series_values
 
 
 class InvalidMeasure(Exception):
@@ -115,24 +115,6 @@ class JacobiCache:
         """series_values of coeffs at x over this cache's recurrence."""
         self.extend(len(coeffs) - 1)
         return series_values(coeffs, self.gamma1s, self.gamma2s, x)
-
-
-def series_values(coeffs, gamma1s, gamma2s, x):
-    """(f(x), f'(x), sum_k |coeffs[k] P_k(x)|) for f = sum_k coeffs[k] P_k,
-    by the monic three-term recurrence with gamma1s[k], gamma2s[k]: O(len(coeffs))
-    operations, in the arithmetic of the arguments (mpf, mpc, float or complex)."""
-    p_prev, p = 0, 1
-    d_prev, d = 0, 0
-    value, slope, scale = coeffs[0], 0, abs(coeffs[0])
-    for k in range(len(coeffs) - 1):
-        shift = x - gamma1s[k]
-        g2 = gamma2s[k]
-        p_prev, p, d_prev, d = p, shift * p - g2 * p_prev, d, p + shift * d - g2 * d_prev
-        term = coeffs[k + 1] * p
-        value += term
-        slope += coeffs[k + 1] * d
-        scale += abs(term)
-    return value, slope, scale
 
 
 def build_jacobi(params: JacobiParams, n: int) -> JacobiCache:

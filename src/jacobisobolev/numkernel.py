@@ -17,8 +17,15 @@ from mpmath import mp, mpf, mpc
 
 DEFAULT_PRECISION_BITS = 256
 
-# Real-root snapping threshold of poly_roots and aberth_roots.
+# Real-root snapping threshold of aberth_roots.
 ROOT_SNAP_TOL = mpf("1e-20")
+
+# Imaginary offsets, with alternating sign, of the double-precision Aberth
+# seeds (absolute) and of the real roots it returns (relative): the iteration
+# cannot leave the real axis from real seeds, and a polynomial may have
+# complex zeros.
+SEED_NUDGE = 1e-3
+ROOT_NUDGE = 1e-14
 
 
 class NumKernelError(Exception):
@@ -70,8 +77,7 @@ class Poly:
 
     The zero polynomial is represented by an empty coefficient tuple and has
     degree -1 (sentinel).  Exact zeros in the leading position are stripped
-    on construction; numerically tiny leading coefficients are only removed
-    by an explicit :meth:`trim`.
+    on construction.
     """
 
     __slots__ = ("coeffs",)
@@ -97,10 +103,6 @@ class Poly:
         return cls((0, 1))
 
     @classmethod
-    def constant(cls, c) -> "Poly":
-        return cls((c,))
-
-    @classmethod
     def from_roots(cls, roots: Sequence) -> "Poly":
         p = cls.one()
         for r in roots:
@@ -122,12 +124,8 @@ class Poly:
             return mpf(0)
         return self.coeffs[-1]
 
-    def is_monic(self, rel_tol=None) -> bool:
-        if self.is_zero():
-            return False
-        if rel_tol is None:
-            return self.leading == 1
-        return abs(self.leading - 1) <= mpf(rel_tol)
+    def is_monic(self) -> bool:
+        return self.leading == 1
 
     def coeff(self, k: int) -> mpf:
         if 0 <= k < len(self.coeffs):
@@ -213,22 +211,6 @@ class Poly:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def shift(self, k: int) -> "Poly":
-        """Multiply by x^k."""
-        if self.is_zero():
-            return self
-        return Poly((mpf(0),) * k + self.coeffs)
-
-    def trim(self, rel_eps) -> "Poly":
-        """Drop leading coefficients smaller than rel_eps * max|coeff|."""
-        if self.is_zero():
-            return self
-        cut = mpf(rel_eps) * self.max_abs_coeff()
-        cs = list(self.coeffs)
-        while cs and abs(cs[-1]) <= cut:
-            cs.pop()
-        return Poly(cs)
 
     def __repr__(self) -> str:
         return f"Poly({[mpmath.nstr(c, 12) for c in self.coeffs]})"
@@ -326,57 +308,80 @@ def cholesky_pd(M: mpmath.matrix) -> bool:
 
 
 def poly_roots(p: Poly) -> list:
-    """All roots of p as (re, im) pairs, sorted by real part then imaginary.
-
-    Roots come from mpmath's arbitrary-precision solver and are polished by
-    a few Newton steps at working precision.  Near-real roots are snapped to
-    the real axis when |im| < ROOT_SNAP_TOL * (1 + |re|).
-    """
+    """All roots of p as (re, im) pairs, as series_roots returns them: a
+    monomial is the series over the recurrence with gamma1 = gamma2 = 0."""
     if p.is_zero():
         raise DegenerateInput("zero polynomial has no well-defined roots")
     if p.degree < 1:
         return []
-    coeffs_desc = list(reversed(p.coeffs))
+    return series_roots(list(p.coeffs), [0] * p.degree, [0] * p.degree)
+
+
+def series_values(coeffs, gamma1s, gamma2s, x):
+    """(f(x), f'(x), sum_k |coeffs[k] P_k(x)|) for f = sum_k coeffs[k] P_k,
+    by the monic three-term recurrence with gamma1s[k], gamma2s[k]: O(len(coeffs))
+    operations, in the arithmetic of the arguments (mpf, mpc, float or complex)."""
+    p_prev, p = 0, 1
+    d_prev, d = 0, 0
+    value, slope, scale = coeffs[0], 0, abs(coeffs[0])
+    for k in range(len(coeffs) - 1):
+        shift = x - gamma1s[k]
+        g2 = gamma2s[k]
+        p_prev, p, d_prev, d = p, shift * p - g2 * p_prev, d, p + shift * d - g2 * d_prev
+        term = coeffs[k + 1] * p
+        value += term
+        slope += coeffs[k + 1] * d
+        scale += abs(term)
+    return value, slope, scale
+
+
+def series_roots(coeffs: Sequence, gamma1s: Sequence, gamma2s: Sequence) -> list:
+    """All roots of sum_k coeffs[k] P_k, the P_k monic with recurrence
+    coefficients gamma1s[k], gamma2s[k], as aberth_roots returns them: Aberth
+    iteration at working precision, seeded with the zeros from a
+    double-precision run of the same iteration (_double_seeds)."""
+    seeds = _double_seeds(coeffs, gamma1s, gamma2s)
+    return aberth_roots(lambda z: series_values(coeffs, gamma1s, gamma2s, z), seeds)
+
+
+def _double_seeds(coeffs: Sequence, gamma1s: Sequence, gamma2s: Sequence) -> list:
+    """Starting points for the Aberth iteration on sum_k coeffs[k] P_k at
+    working precision: its zeros from the same iteration run on float
+    copies of the coefficients and the recurrence, in complex arithmetic
+    from nudged Chebyshev points, each real one nudged off the axis by
+    ROOT_NUDGE (1 + |x|).  When that run fails or leaves a non-finite or
+    repeated root, the nudged Chebyshev points themselves."""
+    n = len(coeffs) - 1
+    chebyshev = [
+        complex(math.cos((2 * i + 1) * math.pi / (2 * n)), SEED_NUDGE if i % 2 == 0 else -SEED_NUDGE)
+        for i in range(n)
+    ]
     try:
-        roots = mpmath.polyroots(coeffs_desc, maxsteps=200, extraprec=mp.prec // 2)
-    except mp.NoConvergence as exc:
-        raise RootFailure(f"degree-{p.degree} root finder: {exc}") from exc
-    dp = p.deriv()
-    polished = []
-    for r in roots:
-        z = mpc(r)
-        for _ in range(3):
-            d = dp(z)
-            if d == 0:
-                break
-            step = p(z) / d
-            z = z - step
-            if abs(step) <= mpf(2) ** (-mp.prec) * (1 + abs(z)):
-                break
-        polished.append(z)
-    return _snap_sort(polished)
+        floats = [[float(v) for v in vs[: n + 1]] for vs in (coeffs, gamma1s, gamma2s)]
+        with mp.workprec(53):
+            roots = aberth_roots(lambda z: series_values(*floats, z), chebyshev)
+        seeds = [
+            mpc(re, im or (ROOT_NUDGE if i % 2 == 0 else -ROOT_NUDGE) * (1 + abs(re)))
+            for i, (re, im) in enumerate(roots)
+        ]
+    except (RootFailure, ArithmeticError):
+        seeds = []
+    if len(set(seeds)) == n and all(mpmath.isfinite(z) for z in seeds):
+        return seeds
+    return [mpc(z) for z in chebyshev]
 
 
-def _snap_sort(zs) -> list:
-    """The output format shared by poly_roots and aberth_roots."""
-    out = []
-    for z in zs:
-        re, im = mpf(z.real), mpf(z.imag)
-        if abs(im) < ROOT_SNAP_TOL * (1 + abs(re)):
-            im = mpf(0)
-        out.append((re, im))
-    out.sort(key=lambda t: (t[0], t[1]))
-    return out
-
-
-# Sweep cap of aberth_roots.  Seeded from the double-precision stage of
-# SobolevFamily.zeros, a simple zero of S_n takes about 3 sweeps.
+# Sweep cap of aberth_roots below 512 bits.  Seeded from the double-precision
+# stage of series_roots, a simple zero takes about 3 sweeps; a pair
+# converging linearly onto an exact double zero takes about p / 4, since its
+# noise level needs |z - x| near 2^(-p/2).
 ABERTH_MAX_SWEEPS = 200
 
 
 def aberth_roots(evaluate, seeds: Sequence) -> list:
     """All roots of a polynomial of degree len(seeds) by Aberth-Ehrlich
-    iteration, as poly_roots returns them (snapped and sorted (re, im)).
+    iteration, as (re, im) pairs sorted by real part then imaginary, with
+    im snapped to 0 when |im| < ROOT_SNAP_TOL (1 + |re|).
 
     ``evaluate(z)`` returns (p(z), p'(z), s(z)), where s(z) >= 0 bounds the
     sizes of the terms summed into p(z); ``seeds`` are distinct starting
@@ -386,14 +391,16 @@ def aberth_roots(evaluate, seeds: Sequence) -> list:
     and a root is frozen once its step is at most 2^(-7p/8) (1 + |z|), or
     after the step taken from a point where |p(z)| <= n 2^(-p) s(z): there
     the value is rounding noise, as near a multiple zero, and no further
-    step can gain.  Raises RootFailure after ABERTH_MAX_SWEEPS.
+    step can gain.  Raises RootFailure after ABERTH_MAX_SWEEPS max(1, p // 256)
+    sweeps.
     """
     zs = list(seeds)
     n = len(zs)
     done_eps = mpf(2) ** (-(7 * mp.prec) // 8)
     noise_eps = n * mpf(2) ** -mp.prec
+    max_sweeps = ABERTH_MAX_SWEEPS * max(1, mp.prec // 256)
     active = set(range(n))
-    for _ in range(ABERTH_MAX_SWEEPS):
+    for _ in range(max_sweeps):
         for i in sorted(active):
             z = zs[i]
             value, slope, scale = evaluate(z)
@@ -409,5 +416,9 @@ def aberth_roots(evaluate, seeds: Sequence) -> list:
             if abs(step) <= done_eps * (1 + abs(zs[i])) or abs(value) <= noise_eps * scale:
                 active.discard(i)
         if not active:
-            return _snap_sort(zs)
-    raise RootFailure(f"degree-{n} Aberth iteration: no convergence in {ABERTH_MAX_SWEEPS} sweeps")
+            roots = []
+            for z in zs:
+                re, im = mpf(z.real), mpf(z.imag)
+                roots.append((re, mpf(0) if abs(im) < ROOT_SNAP_TOL * (1 + abs(re)) else im))
+            return sorted(roots)
+    raise RootFailure(f"degree-{n} Aberth iteration: no convergence in {max_sweeps} sweeps")

@@ -10,27 +10,18 @@ combination of derivative Christoffel-Darboux kernels.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import groupby
 
 import mpmath
-from mpmath import mp, mpc, mpf
+from mpmath import mp, mpf
 
-from .jacobi import JacobiCache, JacobiParams, build_jacobi, series_values
-from .numkernel import Poly, RootFailure, SingularSystem, aberth_roots, cholesky_pd
-from .numkernel import solve_dense, taylor_poly, tol
+from .jacobi import JacobiCache, JacobiParams, build_jacobi
+from .numkernel import Poly, SingularSystem, cholesky_pd, series_roots, solve_dense, taylor_poly, tol
 
 # Below this separation the closed Christoffel-Darboux form of the kernel
 # is numerically unsafe and the direct sum is used instead.
 CD_SEPARATION = mpf("1e-8")
-
-# Imaginary offsets, with alternating sign, of the double-precision Aberth
-# seeds (absolute) and of the real roots it returns (relative): the iteration
-# cannot leave the real axis from real seeds, and S_n may have complex zeros.
-SEED_NUDGE = 1e-3
-ROOT_NUDGE = 1e-14
 
 
 class SobolevError(Exception):
@@ -262,16 +253,13 @@ class SobolevFamily:
         return self.jacobi_rows[n]
 
     def zeros(self, n: int) -> list:
-        """Zeros of S_n as poly_roots returns them: Aberth iteration on the
-        Jacobi expansion at working precision, seeded with the zeros from
-        a double-precision run of the same iteration (_double_seeds).
+        """Zeros of S_n from its Jacobi expansion (numkernel.series_roots).
         Memoised per (n, working precision); each call returns a new list."""
         key = (n, mp.prec)
         if key not in self.zeros_memo:
             coeffs = self.jacobi_coeffs(n)
-            evaluate = partial(self.jacobi_cache.eval_series, coeffs)
-            seeds = _double_seeds(coeffs, self.jacobi_cache)
-            self.zeros_memo[key] = tuple(aberth_roots(evaluate, seeds))
+            cache = self.jacobi_cache
+            self.zeros_memo[key] = tuple(series_roots(coeffs, cache.gamma1s, cache.gamma2s))
         return list(self.zeros_memo[key])
 
     def sobolev_norm_sq(self, m: int) -> mpf:
@@ -360,34 +348,6 @@ class SobolevFamily:
             a2 = a2 - coef * (taylor_poly(cache.poly(m - 1), c, k) * rjk)
             b2 = b2 + coef * (taylor_poly(cache.poly(m), c, k) * rjk)
         return a2, b2
-
-
-def _double_seeds(coeffs: list, cache: JacobiCache) -> list:
-    """Starting points for the Aberth iteration on sum_k coeffs[k] P_k at
-    working precision: its zeros from the same iteration run on float
-    copies of the coefficients and the recurrence, in complex arithmetic
-    from nudged Chebyshev points, each real one nudged off the axis by
-    ROOT_NUDGE (1 + |x|).  When that run fails or leaves a non-finite or
-    repeated root, the nudged Chebyshev points themselves."""
-    n = len(coeffs) - 1
-    cache.extend(n)
-    chebyshev = [
-        complex(math.cos((2 * i + 1) * math.pi / (2 * n)), SEED_NUDGE if i % 2 == 0 else -SEED_NUDGE)
-        for i in range(n)
-    ]
-    try:
-        floats = [[float(v) for v in vs[: n + 1]] for vs in (coeffs, cache.gamma1s, cache.gamma2s)]
-        with mp.workprec(53):
-            roots = aberth_roots(partial(series_values, *floats), chebyshev)
-        seeds = [
-            mpc(re, im or (ROOT_NUDGE if i % 2 == 0 else -ROOT_NUDGE) * (1 + abs(re)))
-            for i, (re, im) in enumerate(roots)
-        ]
-    except (RootFailure, ArithmeticError):
-        seeds = []
-    if len(set(seeds)) == n and all(mpmath.isfinite(z) for z in seeds):
-        return seeds
-    return [mpc(z) for z in chebyshev]
 
 
 def build_family(product: SobolevProduct, n: int) -> SobolevFamily:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from jacobisobolev import cli, ladder, sobolev
+from jacobisobolev import cli, ladder, numkernel, sobolev
 from jacobisobolev.cli import (
     ConfigError,
     canonical_config_dump,
@@ -191,24 +191,25 @@ class TestDeterminism:
 
     def test_electro_roots_s_n_once_by_aberth(self, tmp_path, monkeypatch):
         # decompose_field and classify both need the zeros of S_n: one
-        # Aberth solve gives them, and S_n never reaches mpmath.polyroots.
-        degrees, aberth_calls = [], []
-        real_polyroots, real_aberth = mpmath.polyroots, sobolev.aberth_roots
+        # two-stage Aberth solve gives them.  delta and phi1 take the same
+        # path, and nothing reaches mpmath.polyroots.
+        aberth_calls = []
+        real_aberth = numkernel.aberth_roots
 
-        def counting_polyroots(coeffs, *args, **kwargs):
-            degrees.append(len(coeffs) - 1)
-            return real_polyroots(coeffs, *args, **kwargs)
+        def no_polyroots(*args, **kwargs):
+            raise AssertionError("mpmath.polyroots called")
 
         def counting_aberth(evaluate, seeds):
             aberth_calls.append((mp.prec, len(seeds)))
             return real_aberth(evaluate, seeds)
 
-        monkeypatch.setattr(mpmath, "polyroots", counting_polyroots)
-        monkeypatch.setattr(sobolev, "aberth_roots", counting_aberth)
+        monkeypatch.setattr(mpmath, "polyroots", no_polyroots)
+        monkeypatch.setattr(numkernel, "aberth_roots", counting_aberth)
         assert main(["electro", "--config", write_config(tmp_path, SADDLE_CONFIG)]) == 0
         n = SADDLE_CONFIG["n"]
-        assert aberth_calls == [(53, n), (256, n)]  # the double-precision seeds, then the zeros
-        assert degrees and n not in degrees
+        # the double-precision seeds, then the zeros
+        assert [call for call in aberth_calls if call[1] == n] == [(53, n), (256, n)]
+        assert len(aberth_calls) > 2
 
     def test_connection_numerators_on_demand(self, tmp_path, monkeypatch):
         # polys and zeros never read (A2, B2); electro reads them at n - 1 and n.
@@ -281,11 +282,11 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "command,config,bits",
-        [("electro", "two_points_mixed_orders", 128)],
+        [("electro", "two_points_mixed_orders", 256)],
     )
-    def test_root_finder_failure_is_3(self, command, config, bits, capsys):
-        # S_n is rooted by Aberth iteration; phi1 (degree 7) still goes
-        # through mpmath.polyroots, which does not converge here.
+    def test_root_finder_failure_is_3(self, command, config, bits, capsys, monkeypatch):
+        # One Aberth sweep cannot converge: the root finder's failure is named.
+        monkeypatch.setattr(numkernel, "ABERTH_MAX_SWEEPS", 1)
         path = os.path.join(CONFIG_DIR, f"{config}.json")
         assert main([command, "--config", path, "--precision", str(bits)]) == 3
         assert "RootFailure" in capsys.readouterr().err
@@ -297,11 +298,13 @@ class TestExitCodes:
             ("electro", "large_beta_single_mass", 64),
             ("zeros", "two_points_mixed_orders", 64),
             ("zeros", "large_beta_single_mass", 53),
+            ("electro", "two_points_mixed_orders", 128),
         ],
     )
     def test_low_precision_zeros_agree(self, command, config, bits, tmp_path):
-        # The monomial root finder failed on these; the Aberth zeros agree
-        # with a 512-bit run to the digits the low precision claims.
+        # mpmath.polyroots failed on these (on S_n, or on phi1 for the last);
+        # the Aberth zeros agree with a 512-bit run to the digits the low
+        # precision claims.
         path = os.path.join(CONFIG_DIR, f"{config}.json")
         out = str(tmp_path / "low.json")
         assert main([command, "--config", path, "--precision", str(bits), "--out", out]) == 0

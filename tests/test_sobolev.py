@@ -381,14 +381,16 @@ class TestZeros:
         # Chebyshev points.
         family = build_family(SobolevProduct(JacobiParams(0, 0), []), 4)
         coeffs = family.jacobi_coeffs(4)[:-1] + [mpf("1e400")]
-        seeds = sobolev._double_seeds(coeffs, family.jacobi_cache)
+        cache = family.jacobi_cache
+        seeds = numkernel._double_seeds(coeffs, cache.gamma1s, cache.gamma2s)
         want = [complex(mpmath.cos((2 * i + 1) * mpmath.pi / 8), 1e-3 * (-1) ** i) for i in range(4)]
         assert [complex(z) for z in seeds] == pytest.approx(want, abs=1e-15)
 
     def test_double_seeds_are_nudged_zeros(self, ex1_family):
         # The seeds are the zeros from the 53-bit stage, the real ones nudged
         # off the axis by about 1e-14, with alternating sign.
-        seeds = sobolev._double_seeds(ex1_family.jacobi_coeffs(10), ex1_family.jacobi_cache)
+        cache = ex1_family.jacobi_cache
+        seeds = numkernel._double_seeds(ex1_family.jacobi_coeffs(10), cache.gamma1s, cache.gamma2s)
         zeros = ex1_family.zeros(10)
         assert len(set(seeds)) == 10
         for z, (re, im) in zip(sorted(seeds, key=lambda z: (z.real, z.imag)), zeros):
