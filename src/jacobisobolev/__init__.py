@@ -1,144 +1,63 @@
 """Jacobi-Sobolev orthogonal polynomials: construction, ladder operators,
-second-order ODE, and electrostatic classification of zero configurations."""
+second-order ODE, and electrostatic classification of zero configurations.
 
-from .electrostatics import (
-    AssumptionViolated,
-    Classification,
-    ElectroReport,
-    FieldDecomposition,
-    SingularConfiguration,
-    ZerosNotSimple,
-    classify,
-    decompose_field,
-    energy,
-    gershgorin_sufficient,
-    gradient,
-    hessian,
-)
-from .jacobi import (
-    InvalidMeasure,
-    JacobiCache,
-    JacobiParams,
-    build_jacobi,
-    classical_ode_residual,
-    gamma1,
-    gamma2,
-    jacobi_at_one,
-    ladder_coeffs,
-    log_norm,
-)
+The five library modules are imported here, so `import jacobisobolev`
+loads each of them; perfbench/spans.py relies on that to find the
+functions it traces.
+"""
+
+from .electrostatics import ElectroError, FieldDecomposition, classify, decompose_field, gradient
+from .jacobi import InvalidMeasure, JacobiParams, classical_ode_residual
 from .ladder import (
     LadderData,
     StructureError,
     apply_lowering,
     apply_raising,
     build_ladder,
-    compose_raising,
-    lambda_form,
     ode_coeffs,
     ode_residual,
-    recover_jacobi,
     recurrence_residual,
 )
-from .numkernel import (
-    DegenerateDivisor,
-    DegenerateInput,
-    EigenFailure,
-    NumKernelError,
-    Poly,
-    RootFailure,
-    SingularSystem,
-    cholesky_pd,
-    poly_roots,
-    precision_digits,
-    set_precision,
-    solve_dense,
-    sym_eigen,
-    taylor_poly,
-    tol,
-)
+from .numkernel import NumKernelError, Poly, precision_digits, set_precision, tol
 from .sobolev import (
-    InternalContradiction,
-    InvalidMassPoint,
     MassPoint,
-    NotApplicable,
+    SobolevError,
     SobolevFamily,
     SobolevProduct,
-    ZeroReport,
     build_family,
-    inner_mu,
     inner_sobolev,
     is_sequentially_ordered,
-    kernel_dk,
-    kernel_dk_closed,
-    kernel_poly_dk,
-    quasi_orthogonality_check,
     zeros_of,
 )
 
 __all__ = [
-    "AssumptionViolated",
-    "Classification",
-    "DegenerateDivisor",
-    "DegenerateInput",
-    "EigenFailure",
-    "ElectroReport",
+    "ElectroError",
     "FieldDecomposition",
-    "InternalContradiction",
-    "InvalidMassPoint",
     "InvalidMeasure",
-    "JacobiCache",
     "JacobiParams",
     "LadderData",
     "MassPoint",
-    "NotApplicable",
     "NumKernelError",
     "Poly",
-    "RootFailure",
-    "SingularConfiguration",
-    "SingularSystem",
+    "SobolevError",
     "SobolevFamily",
     "SobolevProduct",
     "StructureError",
-    "ZeroReport",
-    "ZerosNotSimple",
     "apply_lowering",
     "apply_raising",
     "build_family",
-    "build_jacobi",
     "build_ladder",
-    "cholesky_pd",
     "classical_ode_residual",
     "classify",
-    "compose_raising",
     "decompose_field",
-    "energy",
-    "gamma1",
-    "gamma2",
-    "gershgorin_sufficient",
     "gradient",
-    "hessian",
-    "inner_mu",
     "inner_sobolev",
     "is_sequentially_ordered",
-    "jacobi_at_one",
-    "kernel_dk",
-    "kernel_dk_closed",
-    "kernel_poly_dk",
-    "ladder_coeffs",
-    "lambda_form",
-    "log_norm",
     "ode_coeffs",
     "ode_residual",
-    "poly_roots",
     "precision_digits",
-    "quasi_orthogonality_check",
-    "recover_jacobi",
     "recurrence_residual",
     "set_precision",
-    "solve_dense",
-    "sym_eigen",
-    "taylor_poly",
     "tol",
     "zeros_of",
 ]

@@ -35,7 +35,6 @@ from .ladder import (
 from .numkernel import NumKernelError, precision_digits, set_precision, tol
 from .sobolev import (
     MassPoint,
-    NotApplicable,
     SobolevError,
     SobolevProduct,
     build_family,
@@ -122,24 +121,6 @@ def load_config(path: str, n_override=None, precision_override=None) -> dict:
         raise ConfigError(str(exc)) from exc
 
     return {"product": product, "n": n, "precision_bits": bits}
-
-
-def canonical_config_dump(product: SobolevProduct, n: int, bits: int) -> str:
-    """Round-trip-stable JSON form of a configuration."""
-    doc = {
-        "alpha": _fmt(product.jacobi.alpha),
-        "beta": _fmt(product.jacobi.beta),
-        "points": [
-            {
-                "c": _fmt(p.c),
-                "terms": [{"k": k, "lambda": _fmt(lam)} for k, lam in p.terms],
-            }
-            for p in product.points
-        ],
-        "n": n,
-        "precision_bits": bits,
-    }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def _base_report(cfg: dict, command: str) -> dict:

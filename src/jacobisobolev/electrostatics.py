@@ -64,41 +64,8 @@ class FieldDecomposition:
     residues: dict
     warnings: list = field(default_factory=list)
 
-    def field_ratio(self, x) -> mpf:
-        """Evaluate the reconstructed P1/P2 at a non-pole point x."""
-        x = mpf(x)
-        acc = mpf(0)
-        for loc, ell in self.poles:
-            acc += ell / (x - loc)
-        for re, im, ell in self.attractors:
-            if im == 0:
-                acc -= ell / (x - re)
-            else:
-                acc -= ell * (2 * x - 2 * re) / ((x - re) ** 2 + im**2)
-        return acc
-
-    def external_value(self, w) -> mpf:
-        """v(w): twice the per-charge external potential at w."""
-        w = mpf(w)
-        acc = mpf(0)
-        for loc, ell in self.poles:
-            dist = abs(w - loc)
-            if dist == 0:
-                raise SingularConfiguration(f"charge coincides with pole {loc}")
-            acc -= ell * mpmath.log(dist)
-        for re, im, ell in self.attractors:
-            if im == 0:
-                dist = abs(w - re)
-                if dist == 0:
-                    raise SingularConfiguration(f"charge coincides with attractor {re}")
-                acc += ell * mpmath.log(dist)
-            else:
-                # One stored entry stands for the conjugate pair, exponent
-                # ell per root: ell * (log|w-e| + log|w-conj(e)|).
-                acc += ell * mpmath.log((w - re) ** 2 + im**2)
-        return acc
-
     def external_deriv(self, w) -> mpf:
+        """v'(w); away from the poles, -v' is the reconstructed P1/P2."""
         w = mpf(w)
         acc = mpf(0)
         for loc, ell in self.poles:
@@ -306,28 +273,12 @@ def _check_reconstruction(fd: FieldDecomposition, ld: LadderData) -> None:
         if abs(denom) < mpf("1e-30") * max(p2.max_abs_coeff(), mpf(1)):
             continue
         direct = p1(x) / denom
-        recon = fd.field_ratio(x)
+        recon = -fd.external_deriv(x)
         if abs(direct - recon) > rel * max(abs(direct), mpf(1)):
             raise AssumptionViolated(
                 f"partial-fraction reconstruction failed at x={x}: {direct} vs {recon}"
             )
         checked += 1
-
-
-def energy(fd: FieldDecomposition, omega) -> mpf:
-    """Total logarithmic energy of the configuration omega."""
-    omega = [mpf(w) for w in omega]
-    n = len(omega)
-    acc = mpf(0)
-    for k in range(n):
-        for j in range(k + 1, n):
-            diff = abs(omega[j] - omega[k])
-            if diff == 0:
-                raise SingularConfiguration("coincident charges")
-            acc -= mpmath.log(diff)
-    for w in omega:
-        acc += fd.external_value(w) / 2
-    return acc
 
 
 def gradient(fd: FieldDecomposition, omega) -> list:

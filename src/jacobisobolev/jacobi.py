@@ -64,15 +64,6 @@ def log_norm(params: JacobiParams, n: int) -> mpf:
     )
 
 
-def jacobi_at_one(params: JacobiParams, n: int) -> mpf:
-    """Closed-form value P_n(1) (monic normalization)."""
-    a, b = params.alpha, params.beta
-    lg = mpmath.loggamma
-    return mpmath.exp(
-        n * mpmath.log(2) + lg(n + a + 1) - lg(a + 1) + lg(n + a + b + 1) - lg(2 * n + a + b + 1)
-    )
-
-
 @dataclass
 class JacobiCache:
     """Monic Jacobi data through a requested degree, grown append-only."""
@@ -93,11 +84,10 @@ class JacobiCache:
             if k == 0:
                 self.polys.append(Poly.one())
             else:
-                g1 = gamma1(self.params, k - 1)
-                g2 = gamma2(self.params, k - 1) if k >= 2 else mpf(0)
-                p = Poly.x() * self.polys[k - 1] - g1 * self.polys[k - 1]
+                # gamma1_{k-1} and gamma2_{k-1} were stored by the previous step.
+                p = Poly.x() * self.polys[k - 1] - self.gamma1s[k - 1] * self.polys[k - 1]
                 if k >= 2:
-                    p = p - g2 * self.polys[k - 2]
+                    p = p - self.gamma2s[k - 1] * self.polys[k - 2]
                 self.polys.append(p)
             self.norms.append(mpmath.exp(log_norm(self.params, k)))
             self.gamma1s.append(gamma1(self.params, k))

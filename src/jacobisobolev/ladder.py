@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from mpmath import mp, mpf
+from mpmath import mpf
 
 from .jacobi import gamma1, gamma2, ladder_coeffs, raise_over_gamma2
 from .numkernel import Poly, tol
@@ -98,10 +98,7 @@ def build_ladder(family: SobolevFamily, n: int) -> LadderData:
     """
     if n < 1:
         raise ValueError("ladder data needs n >= 1")
-    key = (n, mp.prec)
-    if key not in family.ladder_memo:
-        family.ladder_memo[key] = _build_ladder(family, n)
-    return family.ladder_memo[key]
+    return family.memoised("ladder", n, lambda: _build_ladder(family, n))
 
 
 def _build_ladder(family: SobolevFamily, n: int) -> LadderData:
@@ -217,29 +214,6 @@ def _build_ladder(family: SobolevFamily, n: int) -> LadderData:
     )
 
 
-def delta_leading_expected(family: SobolevFamily, n: int) -> mpf:
-    """Expected leading coefficient of Delta_n from the Lambda law."""
-    d = family.product.d
-    b2p = family.connection_numerators(n - 1)[1]
-    lead = b2p.coeff(d - 1)
-    if abs(lead) <= tol(2) * max(b2p.max_abs_coeff(), mpf(1)):
-        return mpf(1)
-    g2 = gamma2(family.product.jacobi, n - 1)
-    h = family.jacobi_cache.norm(n - 2)
-    return 1 + lambda_form(family, n - 1) / (g2 * h)
-
-
-def recover_jacobi(ld: LadderData, family: SobolevFamily):
-    """Reconstruct (P_n, P_{n-1}) from (S_n, S_{n-1}) via Cramer's rule."""
-    n = ld.n
-    rho = family.product.rho()
-    sn, sm = family.poly(n), family.poly(n - 1)
-    third = tol(3)
-    pn = _exact_div(rho * (ld.D2 * sn - ld.B2 * sm), ld.Delta, third, "P_n recovery")
-    pm = _exact_div(rho * (ld.A2 * sm - ld.C2 * sn), ld.Delta, third, "P_{n-1} recovery")
-    return pn, pm
-
-
 def apply_lowering(ld: LadderData, family: SobolevFamily) -> Poly:
     """S_{n-1} = (q2 S_n + q0 S_n') / q1, with an exact-division assertion."""
     sn = family.poly(ld.n)
@@ -252,15 +226,6 @@ def apply_raising(ld: LadderData, family: SobolevFamily) -> Poly:
     sm = family.poly(ld.n - 1)
     num = ld.q3 * sm + ld.q0 * sm.deriv()
     return _exact_div(num, ld.q4, tol(3), "raising")
-
-
-def compose_raising(family: SobolevFamily, n: int) -> Poly:
-    """S_n as the n-fold raising-operator product applied to S_0 = 1."""
-    f = Poly.one()
-    for m in range(1, n + 1):
-        ld = build_ladder(family, m)
-        f = _exact_div(ld.q3 * f + ld.q0 * f.deriv(), ld.q4, tol(3), f"raising step {m}")
-    return f
 
 
 def ode_coeffs(ld: LadderData):
@@ -286,21 +251,17 @@ def ode_residual(ld: LadderData, family: SobolevFamily) -> mpf:
     return resid.max_abs_coeff() / max(scale, mpf(1))
 
 
-def recurrence_residual(family: SobolevFamily, n: int, use_shifted_q1: bool = False) -> mpf:
-    """Relative residual of the rational three-term recurrence at index n.
-
-    The statement form uses q_{1,n}; ``use_shifted_q1`` swaps in q_{1,n+1},
-    the variant appearing in the proof, for comparison.
-    """
+def recurrence_residual(family: SobolevFamily, n: int) -> mpf:
+    """Relative residual of the rational three-term recurrence at index n,
+    in the statement form with q_{1,n}."""
     if n < 1:
         raise ValueError("recurrence needs n >= 1")
     ld_n = build_ladder(family, n)
     ld_n1 = build_ladder(family, n + 1)
     s_prev, s_cur, s_next = family.poly(n - 1), family.poly(n), family.poly(n + 1)
-    q1 = ld_n1.q1 if use_shifted_q1 else ld_n.q1
     lhs = ld_n1.q4 * ld_n.q0 * s_next
     mid = (ld_n1.q3 * ld_n.q0 - ld_n.q2 * ld_n1.q0) * s_cur
-    low = q1 * ld_n1.q0 * s_prev
+    low = ld_n.q1 * ld_n1.q0 * s_prev
     resid = lhs - mid - low
     scale = max(lhs.max_abs_coeff(), mid.max_abs_coeff(), low.max_abs_coeff(), mpf(1))
     return resid.max_abs_coeff() / scale

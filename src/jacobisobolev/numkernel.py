@@ -124,9 +124,6 @@ class Poly:
             return mpf(0)
         return self.coeffs[-1]
 
-    def is_monic(self) -> bool:
-        return self.leading == 1
-
     def coeff(self, k: int) -> mpf:
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]

@@ -19,20 +19,11 @@ from mpmath import mp, mpf
 from .jacobi import JacobiCache, JacobiParams, build_jacobi
 from .numkernel import Poly, SingularSystem, cholesky_pd, series_roots, solve_dense, taylor_poly, tol
 
-# Below this separation the closed Christoffel-Darboux form of the kernel
-# is numerically unsafe and the direct sum is used instead.
-CD_SEPARATION = mpf("1e-8")
-
-
 class SobolevError(Exception):
     pass
 
 
 class InvalidMassPoint(SobolevError):
-    pass
-
-
-class NotApplicable(SobolevError):
     pass
 
 
@@ -183,18 +174,6 @@ def kernel_dk(cache: JacobiCache, n: int, ell: int, k: int, x, y) -> mpf:
     return acc
 
 
-def kernel_dk_closed(cache: JacobiCache, n: int, k: int, x, y) -> mpf:
-    """Closed Christoffel-Darboux form of K_{n-1}^{(0,k)}; needs x far from y."""
-    x, y = mpf(x), mpf(y)
-    if abs(x - y) <= CD_SEPARATION:
-        raise ValueError("closed kernel form is unstable near the diagonal")
-    pn, pm = cache.poly(n), cache.poly(n - 1)
-    qn = taylor_poly(pn, y, k)
-    qm = taylor_poly(pm, y, k)
-    num = mpmath.factorial(k) * (qm(x) * pn(x) - qn(x) * pm(x))
-    return num / (cache.norm(n - 1) * (x - y) ** (k + 1))
-
-
 def kernel_poly_dk(cache: JacobiCache, n: int, k: int, y) -> Poly:
     """K_{n-1}^{(0,k)}(x, y) as a polynomial in x."""
     y = mpf(y)
@@ -216,17 +195,14 @@ class SobolevFamily:
     K_top(C, C) = sum_{nu<=top} v_nu v_nu^T / h_nu and grows by one term per
     degree, and S_m = sum_nu a_nu P_nu with a_m = 1 and
     a_nu = -(lambda o s_m) . v_nu / h_nu, where s_m is the derivative vector.
-    ``ladder_memo``, ``zeros_memo`` and ``conn_memo`` hold the results of
-    build_ladder, zeros and connection_numerators per (n, working
-    precision)."""
+    ``memo`` holds the results of build_ladder, zeros and
+    connection_numerators per (kind, n, working precision)."""
 
     product: SobolevProduct
     jacobi_cache: JacobiCache
     sob_polys: list = field(default_factory=list)
     deriv_vectors: list = field(default_factory=list)
-    ladder_memo: dict = field(default_factory=dict, repr=False, compare=False)
-    zeros_memo: dict = field(default_factory=dict, repr=False, compare=False)
-    conn_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     jacobi_values: list = field(default_factory=list, init=False, repr=False, compare=False)
     jacobi_rows: list = field(default_factory=list, init=False, repr=False, compare=False)
     lambda_forms: list = field(default_factory=list, init=False, repr=False, compare=False)
@@ -252,15 +228,22 @@ class SobolevFamily:
         self.extend(n)
         return self.jacobi_rows[n]
 
+    def memoised(self, kind: str, n: int, build):
+        """build() once per (kind, n, working precision)."""
+        key = (kind, n, mp.prec)
+        if key not in self.memo:
+            self.memo[key] = build()
+        return self.memo[key]
+
     def zeros(self, n: int) -> list:
         """Zeros of S_n from its Jacobi expansion (numkernel.series_roots).
-        Memoised per (n, working precision); each call returns a new list."""
-        key = (n, mp.prec)
-        if key not in self.zeros_memo:
-            coeffs = self.jacobi_coeffs(n)
+        Memoised; each call returns a new list."""
+
+        def build():
             cache = self.jacobi_cache
-            self.zeros_memo[key] = tuple(series_roots(coeffs, cache.gamma1s, cache.gamma2s))
-        return list(self.zeros_memo[key])
+            return tuple(series_roots(self.jacobi_coeffs(n), cache.gamma1s, cache.gamma2s))
+
+        return list(self.memoised("zeros", n, build))
 
     def sobolev_norm_sq(self, m: int) -> mpf:
         """<S_m, S_m>_s = <S_m, P_m>_s = h_m + Lambda_m."""
@@ -327,10 +310,7 @@ class SobolevFamily:
     def connection_numerators(self, m: int):
         """(A2, B2): numerators over rho of the connection coefficients
         F_{1,m}, G_{1,m} with S_m = F_{1,m} P_m + G_{1,m} P_{m-1}."""
-        key = (m, mp.prec)
-        if key not in self.conn_memo:
-            self.conn_memo[key] = self._connection_numerators(m)
-        return self.conn_memo[key]
+        return self.memoised("conn", m, lambda: self._connection_numerators(m))
 
     def _connection_numerators(self, m: int):
         sder = self.deriv_vector(m)
@@ -391,26 +371,6 @@ def is_sequentially_ordered(product: SobolevProduct):
         if right:
             hi = right[-1][0]
     return True, seq
-
-
-def quasi_orthogonality_check(family: SobolevFamily, n: int) -> mpf:
-    """Max |<S_n, rho_hat * x^i>_mu| over 0 <= i <= n - d - 1."""
-    product = family.product
-    d = product.d
-    if n <= d:
-        raise NotApplicable(f"quasi-orthogonality needs n > d (= {d})")
-    rho_hat = Poly.one()
-    for p in product.points:
-        if p.c <= -1:
-            rho_hat = rho_hat * Poly((-p.c, 1)) ** (p.max_order + 1)
-        else:
-            rho_hat = rho_hat * Poly((p.c, -1)) ** (p.max_order + 1)
-    sn = family.poly(n)
-    worst = mpf(0)
-    for i in range(n - d):
-        val = abs(inner_mu(sn, rho_hat * Poly.x() ** i, family.jacobi_cache))
-        worst = max(worst, val)
-    return worst
 
 
 @dataclass

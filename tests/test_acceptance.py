@@ -19,20 +19,19 @@ from jacobisobolev.electrostatics import (
     Classification,
     classify,
     decompose_field,
-    energy,
     gradient,
     hessian,
 )
 from jacobisobolev.jacobi import JacobiParams, gamma1, gamma2
 from jacobisobolev.ladder import (
     build_ladder,
-    compose_raising,
     lambda_form,
     ode_coeffs,
     ode_residual,
 )
 from jacobisobolev.numkernel import Poly, tol
 from jacobisobolev.sobolev import SobolevProduct, build_family, zeros_of
+from oracles import compose_raising, energy
 from test_sobolev import gram_schmidt_oracle
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from mpmath import mp, mpf
 from jacobisobolev import cli, ladder, numkernel, sobolev
 from jacobisobolev.cli import (
     ConfigError,
-    canonical_config_dump,
     cmd_polys,
     load_config,
     main,
@@ -43,6 +42,7 @@ SADDLE_CONFIG = {
 
 
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
+SHIPPED_CONFIGS = sorted(name[: -len(".json")] for name in os.listdir(CONFIG_DIR) if name.endswith(".json"))
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -52,14 +52,17 @@ def write_config(tmp_path, doc, name="config.json"):
 
 
 class TestConfig:
-    def test_load_and_round_trip(self, tmp_path):
-        cfg = load_config(write_config(tmp_path, INTRO_CONFIG))
-        dump = canonical_config_dump(cfg["product"], cfg["n"], cfg["precision_bits"])
-        path2 = tmp_path / "round.json"
-        path2.write_text(dump, encoding="utf-8")
-        cfg2 = load_config(str(path2))
-        assert cfg2["product"] == cfg["product"]
-        assert cfg2["n"] == cfg["n"]
+    @pytest.mark.parametrize("config", SHIPPED_CONFIGS)
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_report_is_a_config(self, tmp_path, command, config):
+        # A JSON report carries the whole configuration: fed back as
+        # --config, it gives the same report, byte for byte.
+        first, second = str(tmp_path / "first.json"), str(tmp_path / "second.json")
+        path = os.path.join(CONFIG_DIR, f"{config}.json")
+        assert main([command, "--config", path, "--n", "6", "--out", first]) == 0
+        assert main([command, "--config", first, "--out", second]) == 0
+        with open(first, "rb") as f1, open(second, "rb") as f2:
+            assert f1.read() == f2.read()
 
     def test_decimal_strings_required(self, tmp_path):
         bad = dict(INTRO_CONFIG, alpha=0.25)

@@ -9,16 +9,14 @@ from jacobisobolev.ladder import (
     apply_lowering,
     apply_raising,
     build_ladder,
-    compose_raising,
-    delta_leading_expected,
     lambda_form,
     ode_coeffs,
     ode_residual,
-    recover_jacobi,
     recurrence_residual,
 )
 from jacobisobolev.numkernel import Poly, tol
 from jacobisobolev.sobolev import MassPoint, SobolevProduct, build_family
+from oracles import compose_raising, delta_leading_expected, recover_jacobi, shifted_recurrence_residual
 
 
 class TestStructure:
@@ -193,7 +191,7 @@ class TestRecurrence:
     def test_shifted_variant_fails(self, intro_family):
         # The index-shifted q1 variant is materially wrong, not a typo-level
         # difference: its residual is ~1e-2 against ~1e-76 for the statement.
-        assert recurrence_residual(intro_family, 3, use_shifted_q1=True) > mpf("1e-6")
+        assert shifted_recurrence_residual(intro_family, 3) > mpf("1e-6")
 
 
 class TestLowestIndex:

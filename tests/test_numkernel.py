@@ -106,7 +106,7 @@ class TestPoly:
 
     def test_from_roots_monic(self):
         p = Poly.from_roots([mpf("0.25"), -2])
-        assert p.is_monic()
+        assert p.leading == 1
         assert abs(p(mpf("0.25"))) < tol(2)
 
 
