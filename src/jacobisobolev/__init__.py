@@ -14,7 +14,6 @@ from .ladder import (
     apply_lowering,
     apply_raising,
     build_ladder,
-    ode_coeffs,
     ode_residual,
     recurrence_residual,
 )
@@ -53,7 +52,6 @@ __all__ = [
     "gradient",
     "inner_sobolev",
     "is_sequentially_ordered",
-    "ode_coeffs",
     "ode_residual",
     "precision_digits",
     "recurrence_residual",

@@ -28,7 +28,6 @@ from .ladder import (
     apply_lowering,
     apply_raising,
     build_ladder,
-    ode_coeffs,
     ode_residual,
     recurrence_residual,
 )
@@ -179,7 +178,6 @@ def cmd_ode(cfg: dict) -> dict:
     product, n = cfg["product"], cfg["n"]
     family = build_family(product, n)
     ld = build_ladder(family, n)
-    p2, p1, p0 = ode_coeffs(ld)
     report = _base_report(cfg, "ode")
     report.update(
         {
@@ -188,9 +186,9 @@ def cmd_ode(cfg: dict) -> dict:
             "q2": _fmt_list(ld.q2.coeffs),
             "q3": _fmt_list(ld.q3.coeffs),
             "q4": _fmt_list(ld.q4.coeffs),
-            "ode_p2": _fmt_list(p2.coeffs),
-            "ode_p1": _fmt_list(p1.coeffs),
-            "ode_p0": _fmt_list(p0.coeffs),
+            "ode_p2": _fmt_list(ld.P2.coeffs),
+            "ode_p1": _fmt_list(ld.P1.coeffs),
+            "ode_p0": _fmt_list(ld.P0.coeffs),
             "ode_residual": _fmt(ode_residual(ld, family)),
             "lambda_n": _fmt(ld.Lambda_cur),
         }
@@ -241,7 +239,7 @@ def cmd_verify(cfg: dict) -> dict:
     rel = tol(4)
 
     def jacobi_ode():
-        worst = max(classical_ode_residual(family.jacobi_cache, m) for m in range(1, n + 1))
+        worst = max(classical_ode_residual(family.jacobi_cache, m) for m in range(n + 1))
         if worst > rel:
             raise StructureError(f"classical ODE residual {worst}")
         return f"max residual {_fmt(worst)}"
@@ -363,6 +361,8 @@ def main(argv=None) -> int:
     caller_prec = mp.prec
     try:
         cfg = load_config(args.config, n_override=args.n, precision_override=args.precision)
+        if args.command in ("zeros", "ode", "electro") and cfg["n"] < 1:
+            raise ConfigError(f"{args.command}: need n >= 1, got {cfg['n']}")
         report = COMMANDS[args.command](cfg)
         text = render_report(report, args.format)
     except ConfigError as exc:

@@ -17,7 +17,7 @@ from enum import Enum
 import mpmath
 from mpmath import mpf
 
-from .ladder import LadderData, ode_coeffs
+from .ladder import LadderData
 from .numkernel import Poly, cholesky_pd, poly_roots, sym_eigen, sym_eigenvectors, tol
 from .sobolev import SobolevFamily
 
@@ -57,11 +57,8 @@ class FieldDecomposition:
     physical charges.
     """
 
-    n: int
     poles: list
     attractors: list
-    u_points: list
-    residues: dict
     warnings: list = field(default_factory=list)
 
     def external_deriv(self, w) -> mpf:
@@ -162,7 +159,6 @@ def decompose_field(ld: LadderData, family: SobolevFamily) -> FieldDecomposition
             sources.append((re, mpf(1), False))
 
     clusters = _cluster([loc for loc, _, _ in sources], MERGE_TOL)
-    residues = {}
     poles = []
     for group in clusters:
         span = MERGE_TOL * max(1, len(group))
@@ -186,7 +182,6 @@ def decompose_field(ld: LadderData, family: SobolevFamily) -> FieldDecomposition
             warnings.append(
                 f"order-{mult} pole of psi2 at {center} resolved by Laurent expansion"
             )
-        residues[center] = res
         poles.append((center, base + res))
 
     # Complex delta zeros: each conjugate pair is a pole pair of psi2 whose
@@ -247,21 +242,14 @@ def decompose_field(ld: LadderData, family: SobolevFamily) -> FieldDecomposition
         if im == 0 and hull_lo < re < hull_hi:
             warnings.append(f"attractor {re} inside the hull of [-1,1] and the mass points")
 
-    fd = FieldDecomposition(
-        n=ld.n,
-        poles=kept_poles,
-        attractors=kept_attractors,
-        u_points=u_pts,
-        residues=residues,
-        warnings=warnings,
-    )
+    fd = FieldDecomposition(poles=kept_poles, attractors=kept_attractors, warnings=warnings)
     _check_reconstruction(fd, ld)
     return fd
 
 
 def _check_reconstruction(fd: FieldDecomposition, ld: LadderData) -> None:
     """The assembled pole form must reproduce P1/P2 at random points."""
-    p2, p1, _ = ode_coeffs(ld)
+    p2, p1 = ld.P2, ld.P1
     rng = random.Random(20260823)
     rel = tol(4)
     checked = 0
@@ -322,7 +310,6 @@ def gershgorin_sufficient(fd: FieldDecomposition, omega) -> list:
 
 @dataclass
 class ElectroReport:
-    n: int
     zeros: list
     grad_norm: mpf
     hessian_eigs: list
@@ -369,7 +356,6 @@ def classify(fd: FieldDecomposition, family: SobolevFamily, n: int) -> ElectroRe
         truncated_pd = bool(keep) and cholesky_pd(mpmath.matrix([[H[i, j] for j in keep] for i in keep]))
 
     return ElectroReport(
-        n=n,
         zeros=zeros,
         grad_norm=grad_norm,
         hessian_eigs=eigs,

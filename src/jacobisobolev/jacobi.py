@@ -2,8 +2,8 @@
 and the classical first-order ladder (raising/lowering) coefficients.
 
 Conventions: the weight is (1-x)^alpha (1+x)^beta on [-1, 1] with
-alpha, beta > -1, and all polynomials are monic.  Norms are accumulated in
-log-Gamma form so that extreme parameters (beta ~ 100) stay representable.
+alpha, beta > -1, and all polynomials are monic.  The norm h_n is the
+exponential of a sum of log-Gamma terms (log_norm).
 """
 
 from __future__ import annotations

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import mpmath
 from mpmath import mpf
 
-from .jacobi import gamma1, gamma2, ladder_coeffs, raise_over_gamma2
-from .numkernel import Poly, tol
+from .jacobi import ladder_coeffs, raise_over_gamma2
+from .numkernel import Poly, taylor_poly, tol
 from .sobolev import SobolevFamily
 
 
@@ -42,39 +43,52 @@ def _assert_degree(p: Poly, expected: int, what: str, exact: bool = True) -> Non
 
 @dataclass
 class LadderData:
-    """Per-n bundle of the connection polynomials and their derived objects."""
+    """Per-n bundle of the connection polynomials, the q-polynomials and
+    the coefficients (P2, P1, P0) of the second-order ODE of S_n."""
 
     n: int
     A2: Poly
     B2: Poly
-    A3: Poly
-    B3: Poly
     C2: Poly
     D2: Poly
-    C3: Poly
-    D3: Poly
     Delta: Poly
     delta: Poly
-    Lambda_prev: mpf  # Lambda_{n-1}
     Lambda_cur: mpf  # Lambda_n
     q0: Poly
     q1: Poly
     q2: Poly
     q3: Poly
     q4: Poly
-    Delta1: Poly
-    Delta2: Poly
-    Delta3: Poly
     phi1: Poly
     phi2: Poly
     phi3: Poly
+    P2: Poly
+    P1: Poly
+    P0: Poly
 
 
-def _conn_level(family: SobolevFamily, m: int):
-    """(A2, B2, A3, B3) at family level m."""
-    a2, b2 = family.connection_numerators(m)
-    params = family.product.jacobi
-    a_hat, b_hat, c_hat, d_hat = ladder_coeffs(params, m)
+def connection_level(family: SobolevFamily, m: int):
+    """(A2, B2, A3, B3) at family level m: the numerators over rho of the
+    connection coefficients F_{1,m}, G_{1,m} with
+    S_m = F_{1,m} P_m + G_{1,m} P_{m-1}, and of its derivative form
+    (1-x^2)(rho S_m)' = A3 P_m + B3 P_{m-1}.  Memoised on the family per
+    (m, working precision)."""
+    return family.memoised("conn", m, lambda: _connection_level(family, m))
+
+
+def _connection_level(family: SobolevFamily, m: int):
+    sder = family.deriv_vector(m)
+    product, cache = family.product, family.jacobi_cache
+    a2, b2 = product.rho(), Poly.zero()
+    if m > 0:
+        hm1 = cache.norm(m - 1)
+        for (j, k, lam), sval in zip(product.active_pairs, sder):
+            c = product.points[j].c
+            coef = mpmath.factorial(k) * lam * sval / hm1
+            rjk = product.rho_jk(j, k)
+            a2 = a2 - coef * (taylor_poly(cache.poly(m - 1), c, k) * rjk)
+            b2 = b2 + coef * (taylor_poly(cache.poly(m), c, k) * rjk)
+    a_hat, b_hat, c_hat, d_hat = ladder_coeffs(product.jacobi, m)
     one_minus_x2 = Poly((1, 0, -1))
     a3 = a2.deriv() * one_minus_x2 + a_hat * a2 + d_hat * b2
     b3 = b2.deriv() * one_minus_x2 + b_hat * a2 + c_hat * b2
@@ -104,15 +118,15 @@ def build_ladder(family: SobolevFamily, n: int) -> LadderData:
 def _build_ladder(family: SobolevFamily, n: int) -> LadderData:
     family.extend(n)
     product = family.product
-    params = product.jacobi
+    cache = family.jacobi_cache
     d = product.d
 
-    a2n, b2n, a3n, b3n = _conn_level(family, n)
-    a2p, b2p, a3p, b3p = _conn_level(family, n - 1)
+    a2n, b2n, a3n, b3n = connection_level(family, n)
+    a2p, b2p, a3p, b3p = connection_level(family, n - 1)
 
     if n >= 2:
-        g1 = gamma1(params, n - 1)
-        g2 = gamma2(params, n - 1)
+        g1 = cache.gamma1s[n - 1]
+        g2 = cache.gamma2s[n - 1]
         shift = Poly((-g1, 1))
         c2 = -(1 / g2) * b2p
         d2 = a2p + (1 / g2) * (shift * b2p)
@@ -121,8 +135,8 @@ def _build_ladder(family: SobolevFamily, n: int) -> LadderData:
     else:
         # B2_0 = 0 identically; B3_0 = b_hat_0 * A2_0 with b_hat_0/gamma2_0
         # continued as alpha + beta + 1.
-        ratio = raise_over_gamma2(params, 0)
-        shift = Poly((-gamma1(params, 0), 1))
+        ratio = raise_over_gamma2(product.jacobi, 0)
+        shift = Poly((-cache.gamma1s[0], 1))
         c2 = Poly.zero()
         d2 = a2p
         c3 = -ratio * a2p
@@ -179,38 +193,40 @@ def _build_ladder(family: SobolevFamily, n: int) -> LadderData:
 
     # Cross-check the two routes to the lowering identity at sample points:
     # (1-x^2)(rho S_n)' must equal A3 P_n + B3 P_{n-1}.
-    cache = family.jacobi_cache
     sn = family.poly(n)
     lhs = one_minus_x2 * (rho * sn).deriv()
     rhs = a3n * cache.poly(n) + b3n * cache.poly(n - 1)
     if (lhs - rhs).max_abs_coeff() > half * max(lhs.max_abs_coeff(), mpf(1)):
         raise StructureError("derivative connection identity failed")
 
+    # The second-order ODE P2 S_n'' + P1 S_n' + P0 S_n = 0.
+    p2 = q1 * q0 * q0
+    p1 = q0 * (q1 * q2 + q1 * q3 + q0.deriv() * q1 - q0 * q1.deriv())
+    p0 = q1 * q2 * q3 + q0 * (q2.deriv() * q1 - q2 * q1.deriv()) - q4 * q1 * q1
+    _assert_degree(p2, 6 * d + 4, "ODE leading coefficient")
+    _assert_degree(p1, 6 * d + 3, "ODE first-order coefficient", exact=False)
+    _assert_degree(p0, 6 * d + 2, "ODE zeroth-order coefficient", exact=False)
+
     return LadderData(
         n=n,
         A2=a2n,
         B2=b2n,
-        A3=a3n,
-        B3=b3n,
         C2=c2,
         D2=d2,
-        C3=c3,
-        D3=d3,
         Delta=delta_big,
         delta=delta_small,
-        Lambda_prev=lam_prev,
         Lambda_cur=lam_cur,
         q0=q0,
         q1=q1,
         q2=q2,
         q3=q3,
         q4=q4,
-        Delta1=d1,
-        Delta2=dd2,
-        Delta3=dd3,
         phi1=phi1,
         phi2=phi2,
         phi3=phi3,
+        P2=p2,
+        P1=p1,
+        P0=p0,
     )
 
 
@@ -228,24 +244,10 @@ def apply_raising(ld: LadderData, family: SobolevFamily) -> Poly:
     return _exact_div(num, ld.q4, tol(3), "raising")
 
 
-def ode_coeffs(ld: LadderData):
-    """Coefficients (P2, P1, P0) of the second-order ODE satisfied by S_n."""
-    q0, q1, q2, q3, q4 = ld.q0, ld.q1, ld.q2, ld.q3, ld.q4
-    p2 = q1 * q0 * q0
-    p1 = q0 * (q1 * q2 + q1 * q3 + q0.deriv() * q1 - q0 * q1.deriv())
-    p0 = q1 * q2 * q3 + q0 * (q2.deriv() * q1 - q2 * q1.deriv()) - q4 * q1 * q1
-    d = (ld.Delta.degree) // 2
-    _assert_degree(p2, 6 * d + 4, "ODE leading coefficient")
-    _assert_degree(p1, 6 * d + 3, "ODE first-order coefficient", exact=False)
-    _assert_degree(p0, 6 * d + 2, "ODE zeroth-order coefficient", exact=False)
-    return p2, p1, p0
-
-
 def ode_residual(ld: LadderData, family: SobolevFamily) -> mpf:
     """Relative coefficient norm of P2 S_n'' + P1 S_n' + P0 S_n."""
-    p2, p1, p0 = ode_coeffs(ld)
     sn = family.poly(ld.n)
-    terms = [p2 * sn.deriv(2), p1 * sn.deriv(), p0 * sn]
+    terms = [ld.P2 * sn.deriv(2), ld.P1 * sn.deriv(), ld.P0 * sn]
     resid = terms[0] + terms[1] + terms[2]
     scale = max(t.max_abs_coeff() for t in terms)
     return resid.max_abs_coeff() / max(scale, mpf(1))

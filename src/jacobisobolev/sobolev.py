@@ -17,7 +17,7 @@ import mpmath
 from mpmath import mp, mpf
 
 from .jacobi import JacobiCache, JacobiParams, build_jacobi
-from .numkernel import Poly, SingularSystem, cholesky_pd, series_roots, solve_dense, taylor_poly, tol
+from .numkernel import Poly, SingularSystem, cholesky_pd, series_roots, solve_dense, tol
 
 class SobolevError(Exception):
     pass
@@ -187,16 +187,15 @@ def kernel_poly_dk(cache: JacobiCache, n: int, k: int, y) -> Poly:
 @dataclass
 class SobolevFamily:
     """S_0..S_n with derivative vectors at the mass points, Jacobi
-    coefficients, Lambda_m and, on demand, the connection-formula numerators
-    (A2, B2) over the denominator rho.
+    coefficients and Lambda_m.
 
     All of them are read from one table: v_nu = (P_nu^(k)(c_j)) over the
     active pairs, one row per degree.  ``kernel`` holds
     K_top(C, C) = sum_{nu<=top} v_nu v_nu^T / h_nu and grows by one term per
     degree, and S_m = sum_nu a_nu P_nu with a_m = 1 and
     a_nu = -(lambda o s_m) . v_nu / h_nu, where s_m is the derivative vector.
-    ``memo`` holds the results of build_ladder, zeros and
-    connection_numerators per (kind, n, working precision)."""
+    ``memo`` holds the results of zeros and of the ladder layer's
+    build_ladder and connection_level per (kind, n, working precision)."""
 
     product: SobolevProduct
     jacobi_cache: JacobiCache
@@ -306,28 +305,6 @@ class SobolevFamily:
         for i in range(dstar):
             for j in range(dstar):
                 kmat[i, j] += vm[i] * vm[j] / hm
-
-    def connection_numerators(self, m: int):
-        """(A2, B2): numerators over rho of the connection coefficients
-        F_{1,m}, G_{1,m} with S_m = F_{1,m} P_m + G_{1,m} P_{m-1}."""
-        return self.memoised("conn", m, lambda: self._connection_numerators(m))
-
-    def _connection_numerators(self, m: int):
-        sder = self.deriv_vector(m)
-        product, cache = self.product, self.jacobi_cache
-        rho = product.rho()
-        if m == 0:
-            return rho, Poly.zero()
-        a2 = rho
-        b2 = Poly.zero()
-        hm1 = cache.norm(m - 1)
-        for (j, k, lam), sval in zip(product.active_pairs, sder):
-            c = product.points[j].c
-            coef = mpmath.factorial(k) * lam * sval / hm1
-            rjk = product.rho_jk(j, k)
-            a2 = a2 - coef * (taylor_poly(cache.poly(m - 1), c, k) * rjk)
-            b2 = b2 + coef * (taylor_poly(cache.poly(m), c, k) * rjk)
-        return a2, b2
 
 
 def build_family(product: SobolevProduct, n: int) -> SobolevFamily:

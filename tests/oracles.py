@@ -12,7 +12,7 @@ from mpmath import mpf
 
 from jacobisobolev.electrostatics import FieldDecomposition, SingularConfiguration
 from jacobisobolev.jacobi import JacobiCache, JacobiParams, gamma2
-from jacobisobolev.ladder import LadderData, _exact_div, build_ladder, lambda_form
+from jacobisobolev.ladder import LadderData, _exact_div, build_ladder, connection_level, lambda_form
 from jacobisobolev.numkernel import Poly, taylor_poly, tol
 from jacobisobolev.sobolev import SobolevError, SobolevFamily, inner_mu
 
@@ -69,7 +69,7 @@ def quasi_orthogonality_check(family: SobolevFamily, n: int) -> mpf:
 def delta_leading_expected(family: SobolevFamily, n: int) -> mpf:
     """Expected leading coefficient of Delta_n from the Lambda law."""
     d = family.product.d
-    b2p = family.connection_numerators(n - 1)[1]
+    b2p = connection_level(family, n - 1)[1]
     lead = b2p.coeff(d - 1)
     if abs(lead) <= tol(2) * max(b2p.max_abs_coeff(), mpf(1)):
         return mpf(1)

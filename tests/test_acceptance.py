@@ -26,7 +26,6 @@ from jacobisobolev.jacobi import JacobiParams, gamma1, gamma2
 from jacobisobolev.ladder import (
     build_ladder,
     lambda_form,
-    ode_coeffs,
     ode_residual,
 )
 from jacobisobolev.numkernel import Poly, tol
@@ -294,7 +293,7 @@ class TestCriterion07:
         family = build_family(SobolevProduct(JacobiParams(0, 0), []), 8)
         n = 6
         ld = build_ladder(family, n)
-        p2, p1, p0 = ode_coeffs(ld)
+        p2, p1, p0 = ld.P2, ld.P1, ld.P0
         one_minus_x2 = Poly((1, 0, -1))
         r1 = p1 * one_minus_x2 - p2 * Poly((0, -2))
         r0 = p0 * one_minus_x2 - p2 * Poly((n * (n + 1),))

@@ -215,19 +215,23 @@ class TestDeterminism:
         assert len(aberth_calls) > 2
 
     def test_connection_numerators_on_demand(self, tmp_path, monkeypatch):
-        # polys and zeros never read (A2, B2); electro reads them at n - 1 and n.
+        # polys and zeros never read (A2, B2); electro reads them at n - 1
+        # and n; verify builds each level 1..n once.
         levels = []
-        real = sobolev.SobolevFamily._connection_numerators
+        real = ladder._connection_level
 
         def counting(family, m):
             levels.append(m)
             return real(family, m)
 
-        monkeypatch.setattr(sobolev.SobolevFamily, "_connection_numerators", counting)
+        monkeypatch.setattr(ladder, "_connection_level", counting)
         path = write_config(tmp_path, SADDLE_CONFIG)
         for command in ("polys", "zeros", "electro"):
             assert main([command, "--config", path, "--out", str(tmp_path / f"{command}.json")]) == 0
         assert sorted(levels) == [SADDLE_CONFIG["n"] - 1, SADDLE_CONFIG["n"]]
+        levels.clear()
+        assert main(["verify", "--config", path, "--n", "6", "--out", str(tmp_path / "verify.json")]) == 0
+        assert sorted(levels) == [1, 2, 3, 4, 5, 6]
 
     @pytest.mark.parametrize("command", ["ode", "electro"])
     def test_reports_never_format_polys(self, tmp_path, monkeypatch, command):
@@ -282,6 +286,21 @@ class TestExitCodes:
 
     def test_missing_config_is_2(self, tmp_path):
         assert main(["polys", "--config", str(tmp_path / "nope.json")]) == 2
+
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_degree_zero_is_named(self, command, tmp_path, capsys):
+        # zeros, ode and electro need n >= 1 and say so; polys and verify
+        # run at n = 0, and verify passes.
+        path = os.path.join(CONFIG_DIR, "two_symmetric_masses.json")
+        out = str(tmp_path / "out.json")
+        rc = main([command, "--config", path, "--n", "0", "--out", out])
+        assert rc in (0, 2)
+        if rc == 2:
+            assert command in capsys.readouterr().err
+        if command == "verify":
+            assert rc == 0
+            with open(out, encoding="utf-8") as fh:
+                assert json.load(fh)["all_passed"]
 
     @pytest.mark.parametrize(
         "command,config,bits",

@@ -78,10 +78,8 @@ class TestDecomposition:
     def test_field_ratio_consistency(self, fd3, ex3_family):
         # decompose_field already reconstructs the ODE coefficient ratio at
         # 50 random points; spot-check one deterministic point here.
-        from jacobisobolev.ladder import ode_coeffs
-
         ld = build_ladder(ex3_family, 12)
-        p2, p1, _ = ode_coeffs(ld)
+        p2, p1 = ld.P2, ld.P1
         x = mpf("0.31")
         assert abs(-fd3.external_deriv(x) - p1(x) / p2(x)) <= tol(4) * max(
             1, abs(fd3.external_deriv(x))

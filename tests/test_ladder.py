@@ -10,12 +10,11 @@ from jacobisobolev.ladder import (
     apply_raising,
     build_ladder,
     lambda_form,
-    ode_coeffs,
     ode_residual,
     recurrence_residual,
 )
 from jacobisobolev.numkernel import Poly, tol
-from jacobisobolev.sobolev import MassPoint, SobolevProduct, build_family
+from jacobisobolev.sobolev import SobolevProduct, build_family
 from oracles import compose_raising, delta_leading_expected, recover_jacobi, shifted_recurrence_residual
 
 
@@ -131,8 +130,7 @@ class TestODE:
 
     def test_leading_degree(self, ex1_family):
         ld = build_ladder(ex1_family, 5)
-        p2, _, _ = ode_coeffs(ld)
-        assert p2.degree == 6 * ex1_family.product.d + 4
+        assert ld.P2.degree == 6 * ex1_family.product.d + 4
 
 
 class TestClassicalReduction:
@@ -143,7 +141,7 @@ class TestClassicalReduction:
         family = build_family(product, 7)
         n = 6
         ld = build_ladder(family, n)
-        p2, p1, p0 = ode_coeffs(ld)
+        p2, p1, p0 = ld.P2, ld.P1, ld.P0
         one_minus_x2 = Poly((1, 0, -1))
         # ratio identities, cross-multiplied to avoid the common content:
         # p1/p2 = -2x/(1-x^2) and p0/p2 = n(n+1)/(1-x^2)

@@ -6,7 +6,7 @@ between two checkouts.
 
 `run` builds every op of the benchmark's `product-stream` workload for each
 seed, runs it through `cli.main` in this process, and checks its output as
-the benchmark does.  It then runs `electro` and `verify` on every shipped
+the benchmark does.  It then runs `ode`, `electro` and `verify` on every shipped
 `configs/*.json` at each n in SHIPPED_N and each precision in
 SHIPPED_PRECISIONS, which root the ladder polynomials that no generated op
 reaches, and records their reports.  The ops, the configs and the checks
@@ -39,7 +39,7 @@ MAX_DIGIT_DROP = 0.5
 # Outcomes from best to worst; exit codes 2 and 3 are named failures.
 RANK = {"ok": 0, "exit2": 1, "exit3": 1, "wrong": 2, "uncaught": 3}
 # Shipped-config ops, recorded with seed None.
-SHIPPED_COMMANDS = ("electro", "verify")
+SHIPPED_COMMANDS = ("ode", "electro", "verify")
 SHIPPED_N = (12, 24)
 SHIPPED_PRECISIONS = (128, 256, 512)
 
