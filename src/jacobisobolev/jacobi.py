@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import mpmath
 from mpmath import mpf
 
-from .numkernel import Poly, series_values
+from .numkernel import FixedPointSeries, Poly
 
 
 class InvalidMeasure(Exception):
@@ -101,10 +101,11 @@ class JacobiCache:
         self.extend(k)
         return self.norms[k]
 
-    def eval_series(self, coeffs, x):
-        """series_values of coeffs at x over this cache's recurrence."""
+    def series(self, coeffs) -> FixedPointSeries:
+        """The evaluator of sum_k coeffs[k] P_k over this cache's recurrence,
+        at working precision."""
         self.extend(len(coeffs) - 1)
-        return series_values(coeffs, self.gamma1s, self.gamma2s, x)
+        return FixedPointSeries(coeffs, self.gamma1s, self.gamma2s)
 
 
 def build_jacobi(params: JacobiParams, n: int) -> JacobiCache:

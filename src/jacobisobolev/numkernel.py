@@ -5,6 +5,13 @@ All scalars are mpmath ``mpf`` values evaluated at the current working
 precision (default 256 mantissa bits, see :func:`set_precision`).  Every
 object here is immutable after construction and every operation is a pure
 function of its inputs.
+
+Root finding (series_roots) runs one Aberth iteration in two stages.  The
+double-precision stage iterates in Python ``complex`` and evaluates the
+series with series_values on float copies of its inputs.  The stage at
+working precision iterates in ``mpc`` and evaluates the series with
+FixedPointSeries, in Python ``int`` fixed point with a documented error
+bound.  series_values in ``mpf``/``mpc`` arithmetic is the tests' referee.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ import math
 from typing import Iterable, Sequence
 
 import mpmath
-from mpmath import mp, mpf, mpc
+from mpmath import libmp, mp, mpc, mpf
 
 DEFAULT_PRECISION_BITS = 256
 
@@ -332,13 +339,142 @@ def series_values(coeffs, gamma1s, gamma2s, x):
     return value, slope, scale
 
 
+def _raw(x):
+    """The raw mpf tuple of x, not rounded to the working precision."""
+    return x._mpf_ if isinstance(x, mpf) else mpf(x)._mpf_
+
+
+class FixedPointSeries:
+    """f = sum_k coeffs[k] P_k, the P_k monic with recurrence coefficients
+    gamma1s[k], gamma2s[k], evaluated at working precision p in integer fixed
+    point: the recurrences of series_values on Python ints with F fractional
+    bits, each product shifted right by F.
+
+    The inputs are taken as they are, not rounded to p bits.  The integer
+    form is built once: the coefficients are divided by 2^e, the power of two
+    at or above the largest |coeffs[k]| (exact, and the roots stay), and
+    they, the gammas and the argument are truncated to F bits.
+    Products are exact, each step of the recurrence floors each component
+    once, and the sums of c_k P_k, c_k P_k' and |c_k| |P_k| are exact
+    (|P_k| by isqrt); value, slope and scale are returned exactly.
+
+    Error bound.  Let u = 2^(-F), A = max_k |z - gamma1s[k]|,
+    B = max_k |gamma2s[k]|, and R the larger of 1 and the positive root of
+    t^2 = A t + B.  Then each |P_k| in fixed point is at most
+    (1 + 1.5 u k) R^k, its error at most 5 u k R^k (truncated inputs and
+    floors, carried by the recurrence), and the value's error at most
+
+        E(z) = 2^(e - F) 2 (n + 1) (1 + 2.5 n) R^n,
+
+    the factor 2 covering 1 + 1.5 u n, the truncations in A and B, and the
+    float arithmetic of R.  An evaluation starts at F = p + 64 + 2n, and
+    where E(z) > 2^(-p) scale(z) it runs again with F raised by the deficit
+    in bits (doubled while every term is 0, at most MAX_RUNS runs in all).
+    """
+
+    MAX_RUNS = 4
+
+    def __init__(self, coeffs: Sequence, gamma1s: Sequence, gamma2s: Sequence):
+        n = self.n = len(coeffs) - 1
+        self.prec = mp.prec
+        self.coeffs = [_raw(c) for c in coeffs]
+        self.gammas = [(_raw(g1), _raw(g2)) for g1, g2 in zip(gamma1s[:n], gamma2s[:n])]
+        self.exp = max((exp + bc for _, man, exp, bc in self.coeffs if man), default=0)
+        gamma1 = [libmp.to_float(g1) for g1, _ in self.gammas] or [0.0]
+        self.gamma1_range = (min(gamma1), max(gamma1))
+        self.gamma2_max = max((abs(libmp.to_float(g2)) for _, g2 in self.gammas), default=0.0)
+        self.log2_count = math.log2(2 * (n + 1) * (1 + 2.5 * n))
+        self.start_bits = self.prec + 64 + 2 * n
+        self.start_form = self._form(self.start_bits)
+
+    def _form(self, bits: int):
+        """(2^(bits - e) c_k, 2^bits (gamma1_k, gamma2_k)) as ints."""
+        return (
+            [libmp.to_fixed(c, bits - self.exp) for c in self.coeffs],
+            [(libmp.to_fixed(g1, bits), libmp.to_fixed(g2, bits)) for g1, g2 in self.gammas],
+        )
+
+    def _log2_growth(self, z) -> float:
+        """n log2 R of the bound E(z)."""
+        w = complex(z)
+        lo, hi = self.gamma1_range
+        a = max(abs(w - lo), abs(w - hi))
+        r = (a + math.sqrt(a * a + 4 * self.gamma2_max)) / 2
+        if not math.isfinite(r):
+            return self.n * (mpmath.mag(z) + 1.0)  # R <= 2 |z| <= 2^(mag(z) + 1)
+        return self.n * math.log2(max(1.0, r))
+
+    def evaluate(self, z):
+        """(f(z), f'(z), sum_k |coeffs[k] P_k(z)|) for an mpf or mpc z, as
+        series_values returns them."""
+        return self._evaluate(z)[:3]
+
+    def evaluate_bounded(self, z):
+        """evaluate(z) and the bound E(z) on the error of its value."""
+        value, slope, scale, bits, growth = self._evaluate(z)
+        return value, slope, scale, mpf(2) ** (self.exp - bits + self.log2_count + growth)
+
+    def _evaluate(self, z):
+        real = not isinstance(z, mpc)
+        xr, xi = (_raw(z), libmp.fzero) if real else z._mpc_
+        growth = self._log2_growth(z)
+        bits, form = self.start_bits, self.start_form
+        for run in range(self.MAX_RUNS):
+            value, slope, total = self._run(form, bits, xr, xi)
+            # log2 of E(z) / (2^(-p) scale(z)).
+            deficit = self.log2_count + growth + self.prec + bits - math.log2(total) if total else math.inf
+            if deficit <= 0 or run == self.MAX_RUNS - 1:
+                break
+            bits += math.ceil(deficit) + 4 if total else bits
+            form = self._form(bits)
+        exp = self.exp - 2 * bits
+        value, slope = (
+            mp.make_mpf(libmp.from_man_exp(v[0], exp))
+            if real
+            else mp.make_mpc((libmp.from_man_exp(v[0], exp), libmp.from_man_exp(v[1], exp)))
+            for v in (value, slope)
+        )
+        return value, slope, mp.make_mpf(libmp.from_man_exp(total, exp)), bits, growth
+
+    def _run(self, form, F: int, xr, xi):
+        """2^(2F - e) times (f, f') as (re, im) int pairs and sum_k |c_k P_k|,
+        at F fractional bits."""
+        coeffs, gammas = form
+        xr, xi = libmp.to_fixed(xr, F), libmp.to_fixed(xi, F)
+        pr, pi, qr, qi = 1 << F, 0, 0, 0  # P_k, P_{k-1}
+        dr, di, er, ei = 0, 0, 0, 0  # P_k', P_{k-1}'
+        vr, vi = coeffs[0] << F, 0
+        sr = si = 0
+        total = abs(coeffs[0]) << F
+        isqrt = math.isqrt
+        for c, (g1, g2) in zip(coeffs[1:], gammas):
+            ar = xr - g1
+            pr, pi, qr, qi, dr, di, er, ei = (
+                (ar * pr - xi * pi - g2 * qr) >> F,
+                (ar * pi + xi * pr - g2 * qi) >> F,
+                pr,
+                pi,
+                pr + ((ar * dr - xi * di - g2 * er) >> F),
+                pi + ((ar * di + xi * dr - g2 * ei) >> F),
+                dr,
+                di,
+            )
+            vr += c * pr
+            vi += c * pi
+            sr += c * dr
+            si += c * di
+            total += abs(c) * (isqrt(pr * pr + pi * pi) if pi else abs(pr))
+        return (vr, vi), (sr, si), total
+
+
 def series_roots(coeffs: Sequence, gamma1s: Sequence, gamma2s: Sequence) -> list:
     """All roots of sum_k coeffs[k] P_k, the P_k monic with recurrence
     coefficients gamma1s[k], gamma2s[k], as aberth_roots returns them: Aberth
-    iteration at working precision, seeded with the zeros from a
-    double-precision run of the same iteration (_double_seeds)."""
+    iteration at working precision on FixedPointSeries, seeded with the zeros
+    from a double-precision run of the same iteration on series_values in
+    floats (_double_seeds)."""
     seeds = _double_seeds(coeffs, gamma1s, gamma2s)
-    return aberth_roots(lambda z: series_values(coeffs, gamma1s, gamma2s, z), seeds)
+    return aberth_roots(FixedPointSeries(coeffs, gamma1s, gamma2s).evaluate, seeds)
 
 
 def _double_seeds(coeffs: Sequence, gamma1s: Sequence, gamma2s: Sequence) -> list:
@@ -376,20 +512,24 @@ ABERTH_MAX_SWEEPS = 200
 
 
 def aberth_roots(evaluate, seeds: Sequence) -> list:
-    """All roots of a polynomial of degree len(seeds) by Aberth-Ehrlich
-    iteration, as (re, im) pairs sorted by real part then imaginary, with
-    im snapped to 0 when |im| < ROOT_SNAP_TOL (1 + |re|).
+    """All roots of a real polynomial of degree len(seeds) by Aberth-Ehrlich
+    iteration, as (re, im) pairs with im snapped to 0 when
+    |im| < ROOT_SNAP_TOL (1 + |re|), and each nonreal root paired with its
+    nearest conjugate into an exact conjugate pair, +i first
+    (_conjugate_pairs); sorted by real part.
 
     ``evaluate(z)`` returns (p(z), p'(z), s(z)), where s(z) >= 0 bounds the
     sizes of the terms summed into p(z); ``seeds`` are distinct starting
     points, one per root.  The arithmetic is that of the seeds and of
-    ``evaluate``: mpc at working precision p, or Python complex under
-    mp.workprec(53).  Sweeps are Gauss-Seidel (each update is used at once)
-    and a root is frozen once its step is at most 2^(-7p/8) (1 + |z|), or
-    after the step taken from a point where |p(z)| <= n 2^(-p) s(z): there
-    the value is rounding noise, as near a multiple zero, and no further
-    step can gain.  Raises RootFailure after ABERTH_MAX_SWEEPS max(1, p // 256)
-    sweeps.
+    ``evaluate``.  series_roots runs it twice: in Python complex under
+    mp.workprec(53) on series_values over floats, then in mpc at working
+    precision p on FixedPointSeries.evaluate, which evaluates in integer
+    fixed point and returns mpc values.  Sweeps are Gauss-Seidel (each
+    update is used at once) and a root is frozen once its step is at most
+    2^(-7p/8) (1 + |z|), or after the step taken from a point where
+    |p(z)| <= n 2^(-p) s(z): there the value is rounding noise, as near a
+    multiple zero, and no further step can gain.  Raises RootFailure after
+    ABERTH_MAX_SWEEPS max(1, p // 256) sweeps.
     """
     zs = list(seeds)
     n = len(zs)
@@ -417,5 +557,21 @@ def aberth_roots(evaluate, seeds: Sequence) -> list:
             for z in zs:
                 re, im = mpf(z.real), mpf(z.imag)
                 roots.append((re, mpf(0) if abs(im) < ROOT_SNAP_TOL * (1 + abs(re)) else im))
-            return sorted(roots)
+            return _conjugate_pairs(roots)
     raise RootFailure(f"degree-{n} Aberth iteration: no convergence in {max_sweeps} sweeps")
+
+
+def _conjugate_pairs(roots: list) -> list:
+    """(re, im) roots of a real polynomial with each root of im > 0 paired
+    to the nearest conjugate of a root of im < 0, the pair given their mean
+    real part and mean |im|, sorted by real part then by -im (+i first)."""
+    lower = [r for r in roots if r[1] < 0]
+    out = [r for r in roots if r[1] == 0]
+    for re, im in (r for r in roots if r[1] > 0):
+        if not lower:
+            out.append((re, im))
+            continue
+        re2, im2 = lower.pop(min(range(len(lower)), key=lambda j: abs(mpc(re - lower[j][0], im + lower[j][1]))))
+        re, im = (re + re2) / 2, (im - im2) / 2
+        out += [(re, im), (re, -im)]
+    return sorted(out + lower, key=lambda r: (r[0], -r[1]))

@@ -370,9 +370,9 @@ def zeros_of(family: SobolevFamily, n: int) -> ZeroReport:
     # Sign alternation of S_n at midpoints between consecutive interior roots.
     changes = 0
     if inside:
-        coeffs = family.jacobi_coeffs(n)
+        evaluate = family.jacobi_cache.series(family.jacobi_coeffs(n)).evaluate
         grid = [mpf(-1)] + inside + [mpf(1)]
-        values = [family.jacobi_cache.eval_series(coeffs, (a + b) / 2)[0] for a, b in zip(grid, grid[1:])]
+        values = [evaluate((a + b) / 2)[0] for a, b in zip(grid, grid[1:])]
         signs = [mpmath.sign(v) for v in values if v != 0]
         changes = sum(1 for s0, s1 in zip(signs, signs[1:]) if s0 * s1 < 0)
 

@@ -172,6 +172,23 @@ class TestDeterminism:
             with open(out1, "rb") as f1, open(out2, "rb") as f2:
                 assert f1.read() == f2.read()
 
+    def test_complex_delta_zeros_in_one_order(self, tmp_path):
+        # delta has one conjugate pair here.  Its two members share their
+        # real part and are listed +i first, so the warnings come in the
+        # same order at every precision, not in the order of the last bits.
+        shipped = os.path.join(CONFIG_DIR, "two_points_mixed_orders.json")
+        signs = []
+        for bits in (128, 256):
+            out = str(tmp_path / f"electro-{bits}.json")
+            assert main(["electro", "--config", shipped, "--n", "12", "--precision", str(bits), "--out", out]) == 0
+            with open(out, encoding="utf-8") as fh:
+                warnings = [w for w in json.load(fh)["warnings"] if w.startswith("delta zero off the real axis")]
+            assert len(warnings) == 2
+            (re1, im1), (re2, im2) = (w.rsplit(": ", 1)[1].rstrip("i").split(" + ") for w in warnings)
+            assert re1 == re2 and im1 == im2.lstrip("-") and not im1.startswith("-")
+            signs.append([w.endswith(im1 + "i") for w in warnings])
+        assert signs[0] == signs[1]
+
     def test_verify_same_with_and_without_ladder_memo(self, tmp_path, monkeypatch):
         shipped = os.path.join(CONFIG_DIR, "two_points_mixed_orders.json")
         runs = [

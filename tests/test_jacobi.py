@@ -14,9 +14,8 @@ from jacobisobolev.jacobi import (
     ladder_coeffs,
     log_norm,
     raise_over_gamma2,
-    series_values,
 )
-from jacobisobolev.numkernel import Poly, sym_eigen, tol
+from jacobisobolev.numkernel import Poly, series_values, sym_eigen, tol
 from oracles import jacobi_at_one
 
 PARAM_SETS = [(0, 0), (0, 100), (0, 110), (mpf("0.5"), mpf("-0.3")), (2, 3)]
@@ -79,7 +78,7 @@ class TestRecurrence:
         f = Poly.zero()
         for k, c in enumerate(coeffs):
             f = f + c * cache.poly(k)
-        value, slope, scale = cache.eval_series(coeffs, x)
+        value, slope, scale = cache.series(coeffs).evaluate(x)
         assert abs(value - f(x)) < tol(2) * max(1, abs(f(x)))
         assert abs(slope - f.deriv()(x)) < tol(2) * max(1, abs(f.deriv()(x)))
         want = sum(abs(c * cache.poly(k)(x)) for k, c in enumerate(coeffs))
@@ -91,7 +90,7 @@ class TestRecurrence:
         cache = build_jacobi(JacobiParams(mpf("0.5"), 7), 9)
         coeffs = [mpf(k + 1) / 3 for k in range(10)]
         x = mpmath.mpc("0.5", "-0.25")
-        want = cache.eval_series(coeffs, x)
+        want = cache.series(coeffs).evaluate(x)
         floats = [[float(v) for v in vs[:10]] for vs in (coeffs, cache.gamma1s, cache.gamma2s)]
         got = series_values(*floats, complex(x))
         assert all(type(v) in (float, complex) for v in got)

@@ -192,6 +192,15 @@ class TestRoots:
         roots = poly_roots(Poly((1, 0, 1)))  # x^2 + 1
         assert sorted(im for _, im in roots) == sorted([mpf(1), mpf(-1)])
 
+    def test_conjugate_pair_is_exact(self):
+        # (x^2 - 2x + 5)(x + 1): 1 +- 2i come out as one exact conjugate
+        # pair, +i first, after the real root.
+        roots = poly_roots(Poly((5, -2, 1)) * Poly((1, 1)))
+        assert [im == 0 for _, im in roots] == [True, False, False]
+        (re1, im1), (re2, im2) = roots[1:]
+        assert re1 == re2 and im1 == -im2 and im1 > 0
+        assert abs(mpc(re1, im1) - mpc(1, 2)) < tol(2)
+
     def test_zero_poly_raises(self):
         with pytest.raises(DegenerateInput):
             poly_roots(Poly.zero())
@@ -263,7 +272,7 @@ class TestRoots:
 
         with mpmath.workprec(53):
             got = aberth_roots(evaluate, [complex(0.5, 0.5), complex(-0.5, -0.5)])
-        assert [(float(re), float(im)) for re, im in got] == pytest.approx([(0, -1), (0, 1)], abs=1e-14)
+        assert [(float(re), float(im)) for re, im in got] == pytest.approx([(0, 1), (0, -1)], abs=1e-14)
 
     def test_failure_is_named_and_not_cached(self, monkeypatch):
         p = Poly.from_roots([1, 2, 3])
