@@ -65,9 +65,12 @@ def _decimal(cfg: dict, key: str, where: str):
     if not isinstance(val, str):
         raise ConfigError(f"{where}.{key}: reals must be decimal strings, got {type(val).__name__}")
     try:
-        return mpf(val)
+        x = mpf(val)
     except Exception as exc:
         raise ConfigError(f"{where}.{key}: not a decimal number: {val!r}") from exc
+    if not mpmath.isfinite(x):
+        raise ConfigError(f"{where}.{key}: not a finite number: {val!r}")
+    return x
 
 
 def load_config(path: str, n_override=None, precision_override=None) -> dict:

@@ -90,10 +90,21 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable = ()):
-        cs = [mpf(c) for c in coeffs]
+        self.coeffs = Poly._stripped([mpf(c) for c in coeffs])
+
+    @staticmethod
+    def _stripped(cs: list) -> tuple:
         while cs and cs[-1] == 0:
             cs.pop()
-        self.coeffs = tuple(cs)
+        return tuple(cs)
+
+    @classmethod
+    def _of(cls, cs: list) -> "Poly":
+        """The Poly of mpf coefficients already at working precision, built
+        without a second rounding pass."""
+        p = cls.__new__(cls)
+        p.coeffs = cls._stripped(cs)
+        return p
 
     # -- constructors -------------------------------------------------
 
@@ -144,31 +155,43 @@ class Poly:
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Poly(out)
+        return Poly._sum(self.coeffs, other.coeffs)
 
     def __neg__(self) -> "Poly":
-        return Poly(tuple(-c for c in self.coeffs))
+        return Poly._of([-c for c in self.coeffs])
 
     def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
+        # Negated first and then added, so that a coefficient carrying more
+        # bits than the working precision is rounded as self + (-other) does.
+        return Poly._sum(self.coeffs, [-c for c in other.coeffs])
+
+    @staticmethod
+    def _sum(a: Sequence, b: Sequence) -> "Poly":
+        if len(a) < len(b):
+            a, b = b, a
+        # +c rounds a copied coefficient to the working precision, as mpf(c).
+        return Poly._of([x + y for x, y in zip(a, b)] + [+c for c in a[len(b):]])
 
     def __mul__(self, other) -> "Poly":
+        """Scalar multiple, or the product: exact in Python ints over one
+        common binary exponent per factor (_integers), each coefficient of
+        the result rounded once to the working precision."""
         if not isinstance(other, Poly):
             c = mpf(other)
-            return Poly(tuple(c * a for a in self.coeffs))
+            return Poly._of([c * a for a in self.coeffs])
         if self.is_zero() or other.is_zero():
             return Poly.zero()
-        out = [mpf(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
+        xs, x_exp = _integers(self.coeffs)
+        ys, y_exp = _integers(other.coeffs)
+        acc = [0] * (len(xs) + len(ys) - 1)
+        for i, a in enumerate(xs):
+            if a:
+                for k, b in enumerate(ys, i):
+                    acc[k] += a * b
+        exp = x_exp + y_exp
+        prec, rounding = mp._prec_rounding
+        make, from_man_exp = mp.make_mpf, libmp.from_man_exp
+        return Poly._of([make(from_man_exp(v, exp, prec, rounding)) for v in acc])
 
     __rmul__ = __mul__
 
@@ -206,7 +229,7 @@ class Poly:
     def deriv(self, k: int = 1) -> "Poly":
         p = self
         for _ in range(k):
-            p = Poly(tuple(i * c for i, c in enumerate(p.coeffs) if i > 0))
+            p = Poly._of([i * c for i, c in enumerate(p.coeffs) if i > 0])
         return p
 
     def __call__(self, x):
@@ -224,6 +247,17 @@ class Poly:
         # first; failing here makes it return NotImplemented (so __rmul__
         # runs) before its fallback formats the polynomial into a TypeError.
         raise TypeError("a Poly is not an mpmath scalar")
+
+
+def _integers(coeffs: Sequence) -> tuple:
+    """(ints, e) with coeffs[i] == ints[i] 2^e exactly: e is the smallest
+    exponent of a nonzero coefficient (an exact zero sets none).  Raises
+    DegenerateInput on a non-finite coefficient, which is never read as 0."""
+    raws = [c._mpf_ for c in coeffs]
+    if any(not man and exp for _, man, exp, _ in raws):
+        raise DegenerateInput("polynomial product of a non-finite coefficient")
+    e = min(exp for _, man, exp, _ in raws if man)
+    return [(-man if sign else man) << (exp - e) if man else 0 for sign, man, exp, _ in raws], e
 
 
 def taylor_poly(f: Poly, y, k: int) -> Poly:

@@ -132,21 +132,25 @@ class SobolevProduct:
         return out
 
 
-def inner_mu(f: Poly, g: Poly, cache: JacobiCache) -> mpf:
-    """Jacobi inner product of two polynomials, via Jacobi-basis expansion.
+def _jacobi_coefficients(f: Poly, cache: JacobiCache) -> list:
+    """f_0..f_deg with f = sum_k f_k P_k, peeled from the top down: f_m is the
+    coefficient of x^m left once f_{m+1} P_{m+1}, ... are taken off, since
+    P_m is monic."""
+    cache.extend(f.degree)
+    out = [mpf(0)] * (f.degree + 1)
+    for m in range(f.degree, -1, -1):
+        c = out[m] = f.coeff(m)
+        if c != 0 and m > 0:
+            f = f - c * cache.poly(m)
+    return out
 
-    Exact at working precision: expand f*g in the monic Jacobi basis and
-    keep only the P_0 component, whose integral is h_0.
-    """
-    h = f * g
-    if h.is_zero():
-        return mpf(0)
-    cache.extend(h.degree)
-    for m in range(h.degree, 0, -1):
-        c = h.coeff(m)
-        if c != 0:
-            h = h - c * cache.poly(m)
-    return h.coeff(0) * cache.norm(0)
+
+def inner_mu(f: Poly, g: Poly, cache: JacobiCache) -> mpf:
+    """Jacobi inner product of two polynomials, sum_k f_k g_k h_k over their
+    monic Jacobi coefficients: the P_k are orthogonal with norms h_k, and
+    f g is never expanded."""
+    pairs = zip(_jacobi_coefficients(f, cache), _jacobi_coefficients(g, cache))
+    return sum((a * b * cache.norm(k) for k, (a, b) in enumerate(pairs)), mpf(0))
 
 
 def inner_sobolev(f: Poly, g: Poly, product: SobolevProduct, cache: JacobiCache) -> mpf:

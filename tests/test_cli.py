@@ -75,6 +75,22 @@ class TestConfig:
         alpha = cfg["product"].jacobi.alpha
         assert abs(alpha - mpf(1) / 10) < mpf(10) ** -70
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", ["alpha", "beta", "c", "lambda"])
+    def test_non_finite_values_rejected(self, tmp_path, capsys, field, value):
+        doc = json.loads(json.dumps(SADDLE_CONFIG))
+        if field in ("alpha", "beta"):
+            doc[field] = value
+            where = f"config.{field}"
+        elif field == "c":
+            doc["points"][0]["c"] = value
+            where = "config.points[0].c"
+        else:
+            doc["points"][0]["terms"][0]["lambda"] = value
+            where = "config.points[0].terms[0].lambda"
+        assert main(["polys", "--config", write_config(tmp_path, doc), "--n", "4"]) == 2
+        assert where in capsys.readouterr().err
+
     def test_missing_field_diagnostic(self, tmp_path):
         doc = {"alpha": "0", "points": [], "n": 3}
         with pytest.raises(ConfigError, match="beta"):

@@ -1,10 +1,13 @@
 """Tests for the arbitrary-precision numerical substrate."""
 
+import random
+from fractions import Fraction
+
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from mpmath import mpc, mpf
+from mpmath import libmp, mp, mpc, mpf
 
 from jacobisobolev import numkernel
 from jacobisobolev.numkernel import (
@@ -108,6 +111,125 @@ class TestPoly:
         p = Poly.from_roots([mpf("0.25"), -2])
         assert p.leading == 1
         assert abs(p(mpf("0.25"))) < tol(2)
+
+
+def _to_fraction(c) -> Fraction:
+    sign, man, exp, _ = c._mpf_
+    return Fraction(-man if sign else man) * Fraction(2) ** exp
+
+
+def _exact_product_rounded(p, q, bits):
+    """The product over Fraction, each coefficient rounded once to `bits`."""
+    xs, ys = [_to_fraction(c) for c in p.coeffs], [_to_fraction(c) for c in q.coeffs]
+    acc = [Fraction(0)] * (len(xs) + len(ys) - 1)
+    for i, a in enumerate(xs):
+        for j, b in enumerate(ys):
+            acc[i + j] += a * b
+    return [libmp.from_rational(v.numerator, v.denominator, bits, "n") for v in acc]
+
+
+def _random_poly(rng, degree, bits, spread):
+    """Coefficients of `bits`-bit mantissas, both signs, exponents within
+    2^(+-spread), and exact interior zeros."""
+    def coeff(exp):
+        return mpf(libmp.from_man_exp(rng.getrandbits(bits) | 1, exp - bits))
+
+    lower = [
+        mpf(0) if rng.random() < 0.2 else rng.choice((1, -1)) * coeff(rng.randint(-spread, spread))
+        for _ in range(degree)
+    ]
+    return lower + [coeff(0)]
+
+
+# Reference sum, difference, negation and scalar multiple: each result goes
+# through the constructor's mpf() pass, and the difference adds the negation.
+# Poly builds each result once and must match them bit for bit.
+def _reference_poly(coeffs):
+    cs = [mpf(c) for c in coeffs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def _reference_add(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] = out[i] + c
+    return _reference_poly(out)
+
+
+def _reference_neg(a):
+    return _reference_poly(tuple(-c for c in a))
+
+
+def _reference_sub(a, b):
+    return _reference_add(a, _reference_neg(b))
+
+
+def _reference_scale(a, other):
+    c = mpf(other)
+    return _reference_poly(tuple(c * x for x in a))
+
+
+def _raw(coeffs):
+    return [c._mpf_ for c in coeffs]
+
+
+class TestIntegerProduct:
+    @pytest.mark.parametrize("bits", [53, 128, 256, 1024])
+    @pytest.mark.parametrize("spread", [0, 400])
+    def test_equals_exact_product_rounded_once(self, bits, spread):
+        rng = random.Random(bits + spread)
+        for da, db in ((0, 0), (1, 3), (7, 5), (12, 12)):
+            # Factors built at a higher precision than the product.
+            with mp.workprec(2 * bits + 64):
+                p = Poly(_random_poly(rng, da, 2 * bits, spread))
+                q = Poly(_random_poly(rng, db, 2 * bits, spread))
+            with mp.workprec(bits):
+                got = p * q
+            assert _raw(got.coeffs) == _exact_product_rounded(p, q, bits), (da, db)
+
+    def test_interior_zeros_and_negatives(self):
+        with mp.workprec(128):
+            p, q = Poly((mpf(2) ** 400, 0, 0, -3)), Poly((-1, 0, mpf(2) ** -400))
+            got = p * q
+            assert _raw(got.coeffs) == _exact_product_rounded(p, q, 128)
+            assert (got.coeff(1), got.coeff(2), got.coeff(3), got.coeff(4)) == (0, 1, 3, 0)
+
+    def test_zero_polynomial(self):
+        p = Poly((1, -2, 3))
+        assert (p * Poly.zero()).is_zero()
+        assert (Poly.zero() * p).is_zero()
+
+    @pytest.mark.parametrize("special", ["nan", "inf", "-inf"])
+    def test_non_finite_coefficient_raises(self, special):
+        bad = Poly((1, mpf(special), 2))
+        with pytest.raises(DegenerateInput):
+            bad * Poly((1, 1))
+        with pytest.raises(DegenerateInput):
+            Poly((3, 1)) * bad
+
+    def test_sum_difference_negation_scale_unchanged(self):
+        rng = random.Random(7)
+        for bits in (53, 128, 256):
+            for da, db in ((0, 0), (3, 3), (6, 2), (1, 9)):
+                # Coefficients carrying more bits than the working precision.
+                with mp.workprec(bits + 200):
+                    p = Poly(_random_poly(rng, da, bits + 200, 300))
+                    q = Poly(_random_poly(rng, db, bits + 200, 300))
+                    cancel = Poly(p.coeffs[:-1] + (-p.leading,))
+                with mp.workprec(bits):
+                    pairs = [(p, q), (q, p), (p, p), (p, cancel), (p, Poly.zero()), (Poly.zero(), q)]
+                    for x, y in pairs:
+                        assert _raw((x + y).coeffs) == _raw(_reference_add(x.coeffs, y.coeffs))
+                        assert _raw((x - y).coeffs) == _raw(_reference_sub(x.coeffs, y.coeffs))
+                        assert _raw((-x).coeffs) == _raw(_reference_neg(x.coeffs))
+                    for scalar in (3, mpf("0.1"), "-2.5", 0, mpf(2) ** -500):
+                        want = _raw(_reference_scale(p.coeffs, scalar))
+                        assert _raw((p * scalar).coeffs) == want
+                        assert _raw((scalar * p).coeffs) == want
 
 
 class TestTaylor:

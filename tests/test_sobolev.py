@@ -6,7 +6,7 @@ from itertools import permutations
 
 import mpmath
 import pytest
-from mpmath import mpc, mpf
+from mpmath import mp, mpc, mpf
 
 from jacobisobolev import numkernel, sobolev
 from jacobisobolev.jacobi import JacobiParams, build_jacobi
@@ -140,6 +140,33 @@ class TestInnerProducts:
         got = inner_mu(f, g, cache)
         want = mpmath.quad(lambda x: f(x) * g(x) * (1 - x) * (1 + x) ** 2, [-1, 0, 1])
         assert abs(got - want) <= mpf("1e-40") * max(1, abs(want))
+
+    def test_inner_mu_of_jacobi_polys(self):
+        cache = build_jacobi(JacobiParams("0.5", 90), 12)
+        for j in range(13):
+            for k in range(13):
+                want = cache.norm(k) if j == k else 0
+                assert inner_mu(cache.poly(j), cache.poly(k), cache) == want, (j, k)
+
+    def test_inner_sobolev_at_large_beta(self):
+        # A product-stream op: alpha = 0, beta = 91, orders 0 and 2 at c = -1.
+        # <S_28, S_28>_s of the 128-bit S_28, taken at 192 bits, agrees with a
+        # 640-bit run; expanding S_28^2 in monomials first lost 9 digits.
+        def product():
+            return SobolevProduct(JacobiParams(0, 91), [MassPoint(-1, [(0, "0.5"), (2, "0.5")])])
+
+        n = 28
+        with mp.workprec(128):
+            s = build_family(product(), n).poly(n)
+
+        def norm_sq(bits):
+            with mp.workprec(bits):
+                p = product()
+                return inner_sobolev(s, s, p, build_jacobi(p.jacobi, n))
+
+        with mp.workprec(640):
+            want = norm_sq(640)
+            assert abs(norm_sq(192) - want) <= mpf("1e-25") * want
 
     def test_sobolev_adds_derivative_masses(self, intro_product):
         cache = build_jacobi(intro_product.jacobi, 6)
