@@ -73,6 +73,11 @@ def _decimal(cfg: dict, key: str, where: str):
     return x
 
 
+def _is_int(val) -> bool:
+    """A JSON integer; true and false are not integers."""
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
 def load_config(path: str, n_override=None, precision_override=None) -> dict:
     """Parse, validate, and normalize a run configuration file."""
     try:
@@ -85,9 +90,9 @@ def load_config(path: str, n_override=None, precision_override=None) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
 
-    bits = precision_override or raw.get("precision_bits", 256)
-    if not isinstance(bits, int) or bits < 53:
-        raise ConfigError(f"precision_bits: need an integer >= 53, got {bits!r}")
+    bits = precision_override if precision_override is not None else raw.get("precision_bits", 256)
+    if not _is_int(bits) or bits < 53:
+        raise ConfigError(f"precision_bits: need an integer >= 53 (config or --precision), got {bits!r}")
     set_precision(bits)
 
     alpha = _decimal(raw, "alpha", "config")
@@ -107,13 +112,13 @@ def load_config(path: str, n_override=None, precision_override=None) -> dict:
         terms = []
         for t, term in enumerate(terms_raw):
             tw = f"{where}.terms[{t}]"
-            if not isinstance(term, dict) or not isinstance(term.get("k"), int):
-                raise ConfigError(f"{tw}: need an object with integer 'k'")
+            if not isinstance(term, dict) or not _is_int(term.get("k")) or term["k"] < 0:
+                raise ConfigError(f"{tw}: need an object with integer 'k' >= 0")
             terms.append((term["k"], _decimal(term, "lambda", tw)))
         points.append((c, terms))
 
     n = n_override if n_override is not None else raw.get("n")
-    if not isinstance(n, int) or n < 0:
+    if not _is_int(n) or n < 0:
         raise ConfigError(f"n: need a nonnegative integer (config or --n), got {n!r}")
 
     try:

@@ -18,10 +18,10 @@ import mpmath
 from mpmath import mpf
 
 from .ladder import LadderData
-from .numkernel import Poly, cholesky_pd, poly_roots, sym_eigen, sym_eigenvectors, tol
+from .numkernel import Poly, cholesky_pd, poly_roots, sym_eigen, tol
 from .sobolev import SobolevFamily
 
-# Pole locations closer than this are merged into one charge.
+# Locations closer than this are one location (see _merged).
 MERGE_TOL = mpf("1e-9")
 
 
@@ -88,14 +88,21 @@ class FieldDecomposition:
         return acc
 
 
-def _cluster(values, tol_abs):
-    """Group sorted scalars into clusters of mutually close values."""
+def _merged(a, b) -> bool:
+    """Whether a and b are one location: every merge decision of
+    decompose_field, and nothing else, reads the merge tolerance here."""
+    return abs(a - b) <= MERGE_TOL
+
+
+def _groups(items, key) -> list:
+    """Items stably sorted by key, cut into chains wherever two neighbours
+    are not _merged: every item lands in exactly one group."""
     out = []
-    for v in sorted(values):
-        if out and abs(v - out[-1][-1]) <= tol_abs:
-            out[-1].append(v)
+    for item in sorted(items, key=key):
+        if out and _merged(key(out[-1][-1]), key(item)):
+            out[-1].append(item)
         else:
-            out.append([v])
+            out.append([item])
     return out
 
 
@@ -131,43 +138,33 @@ def _laurent_residue(psi1: Poly, psi2: Poly, p, mult: int):
 def decompose_field(ld: LadderData, family: SobolevFamily) -> FieldDecomposition:
     """Extract the charge/attractor structure from the ODE coefficients."""
     product = family.product
-    warnings = []
 
     psi1 = ld.phi2 + ld.phi3
     rho_n = product.rho_n_points()
     psi2 = Poly((1, 0, -1)) * rho_n * ld.delta
 
     # Zeros of delta (the u-points) and of phi1 (the attractors).
-    u_pts = []
-    for re, im in poly_roots(ld.delta):
-        if im != 0:
-            warnings.append(f"delta zero off the real axis: {re} + {im}i")
-        u_pts.append((re, im))
+    u_pts = poly_roots(ld.delta)
+    warnings = [f"delta zero off the real axis: {re} + {im}i" for re, im in u_pts if im != 0]
     sn_zeros = [re for re, im in family.zeros(ld.n) if im == 0]
     for re, im in u_pts:
-        if im == 0 and any(abs(re - z) <= MERGE_TOL for z in sn_zeros):
+        if im == 0 and any(_merged(re, z) for z in sn_zeros):
             warnings.append(f"delta zero {re} collides with a zero of S_n")
 
-    # Repulsive pole sources with their structural base exponents.  The
-    # third field marks locations known exactly (endpoints, mass points),
-    # preferred as cluster centers over numerically found delta zeros.
-    sources = [(mpf(1), mpf(1), True), (mpf(-1), mpf(1), True)]
-    for p in product.points:
-        sources.append((p.c, mpf(2 * p.max_order + 3), True))
-    for re, im in u_pts:
-        if im == 0:
-            sources.append((re, mpf(1), False))
+    # Repulsive pole sources with their structural base exponents, ranked:
+    # 0 an endpoint, 1 a mass point (both exact), 2 a delta zero.  A merged
+    # pole sits at its first exact source in that order (mass points ascend
+    # in c, as a group does), else at the mean of its delta zeros.
+    sources = [(mpf(1), mpf(1), 0), (mpf(-1), mpf(1), 0)]
+    sources += [(p.c, mpf(2 * p.max_order + 3), 1) for p in product.points]
+    sources += [(re, mpf(1), 2) for re, im in u_pts if im == 0]
 
-    clusters = _cluster([loc for loc, _, _ in sources], MERGE_TOL)
     poles = []
-    for group in clusters:
-        span = MERGE_TOL * max(1, len(group))
-        mean = sum(group) / len(group)
-        members = [s for s in sources if abs(s[0] - mean) <= span]
-        exact = [loc for loc, _, is_exact in members if is_exact]
-        center = exact[0] if exact else mean
-        base = sum(b for _, b, _ in members)
-        mult = len(members)
+    for group in _groups(sources, key=lambda s: s[0]):
+        first = min(group, key=lambda s: s[2])
+        center = first[0] if first[2] < 2 else sum(loc for loc, _, _ in group) / len(group)
+        base = sum(b for _, b, _ in group)
+        mult = len(group)
         if mult == 1:
             res = psi1(center) / psi2.deriv()(center)
         else:
@@ -197,28 +194,26 @@ def decompose_field(ld: LadderData, family: SobolevFamily) -> FieldDecomposition
                     f"complex delta zero {re}+{im}i carries exponent {leftover}"
                 )
 
-    # Attractors: zeros of phi1 clustered in the complex plane.  A cluster
-    # whose imaginary parts straddle zero within the merge tolerance is one
+    # Attractors: zeros of phi1 grouped by real part, at the group's mean.
+    # The roots of a group whose imaginary part is _merged with zero are one
     # real attractor of that multiplicity (multiple real roots split into
-    # spurious tiny-imaginary pairs); otherwise it is a conjugate pair,
-    # stored once with im > 0.
+    # spurious tiny-imaginary pairs); the others, grouped by imaginary part,
+    # are conjugate pairs, each stored once with im > 0.
     attractors = []
-    phi1_roots = poly_roots(ld.phi1)
-    for re_group in _cluster([re for re, _ in phi1_roots], MERGE_TOL):
-        re_center = sum(re_group) / len(re_group)
-        span = MERGE_TOL * max(1, len(re_group))
-        ims = [im for re, im in phi1_roots if abs(re - re_center) <= span]
-        real_mult = sum(1 for im in ims if abs(im) <= MERGE_TOL)
+    for group in _groups(poly_roots(ld.phi1), key=lambda r: r[0]):
+        re_center = sum(re for re, _ in group) / len(group)
+        real_mult = sum(1 for _, im in group if _merged(im, 0))
         if real_mult:
-            attractors.append([re_center, mpf(0), mpf(real_mult)])
-        for im_group in _cluster([im for im in ims if im > MERGE_TOL], MERGE_TOL):
-            attractors.append([re_center, sum(im_group) / len(im_group), mpf(len(im_group))])
+            attractors.append((re_center, mpf(0), mpf(real_mult)))
+        upper = [r for r in group if r[1] > 0 and not _merged(r[1], 0)]
+        for pair in _groups(upper, key=lambda r: r[1]):
+            attractors.append((re_center, sum(im for _, im in pair) / len(pair), mpf(len(pair))))
 
     # A real attractor sitting on a repulsive pole cancels part of its charge.
     kept_attractors = []
     for re, im, ell in attractors:
         if im == 0:
-            hit = next((i for i, (loc, _) in enumerate(poles) if abs(loc - re) <= MERGE_TOL), None)
+            hit = next((i for i, (loc, _) in enumerate(poles) if _merged(loc, re)), None)
             if hit is not None:
                 loc, cur = poles[hit]
                 poles[hit] = (loc, cur - ell)
@@ -304,7 +299,11 @@ def hessian(fd: FieldDecomposition, omega) -> mpmath.matrix:
 
 
 def gershgorin_sufficient(fd: FieldDecomposition, omega) -> list:
-    """Per-charge external curvature; all positive is sufficient for a minimum."""
+    """Per-charge external curvature v''(w_k)/2.  The Hessian is the diagonal
+    of these plus the graph Laplacian of the weights 1/(w_k - w_j)^2, which
+    is positive semidefinite; by Weyl's inequality it has no more negative
+    eigenvalues than curvatures <= 0, so all positive is sufficient for a
+    minimum."""
     return [fd.external_second_deriv(mpf(w)) / 2 for w in omega]
 
 
@@ -348,10 +347,10 @@ def classify(fd: FieldDecomposition, family: SobolevFamily, n: int) -> ElectroRe
     negative_set = []
     truncated_pd = True
     if cls is Classification.SADDLE_POINT:
+        # By Weyl's inequality (see gershgorin_sufficient) there are at least
+        # as many of these charges as negative eigenvalues, so the set needs
+        # no eigenvectors.
         negative_set = [k for k, c in enumerate(curvatures) if c <= 0]
-        n_neg_eigs = sum(1 for e in eigs if e < 0)
-        if len(negative_set) < n_neg_eigs:
-            negative_set = _augment_by_eigenvectors(H, eigs, negative_set, n_neg_eigs)
         keep = [k for k in range(n) if k not in negative_set]
         truncated_pd = bool(keep) and cholesky_pd(mpmath.matrix([[H[i, j] for j in keep] for i in keep]))
 
@@ -365,19 +364,3 @@ def classify(fd: FieldDecomposition, family: SobolevFamily, n: int) -> ElectroRe
         gershgorin_curvatures=curvatures,
         warnings=list(fd.warnings),
     )
-
-
-def _augment_by_eigenvectors(H: mpmath.matrix, eigs, negative_set, n_neg: int) -> list:
-    """Add coordinates dominating negative-eigenvalue eigenvectors (component
-    magnitude above 0.9) until the flagged set covers every negative eigenvalue."""
-    out = list(negative_set)
-    n = H.rows
-    evals, evecs = sym_eigenvectors(H)
-    order = sorted(range(n), key=lambda i: evals[i])
-    for rank in range(n_neg):
-        col = order[rank]
-        comps = [abs(evecs[r, col]) for r in range(n)]
-        dominant = max(range(n), key=lambda r: comps[r])
-        if comps[dominant] > mpf("0.9") and dominant not in out:
-            out.append(dominant)
-    return sorted(out)

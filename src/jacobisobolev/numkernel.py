@@ -279,22 +279,12 @@ def taylor_poly(f: Poly, y, k: int) -> Poly:
     return out
 
 
-def _eigsy(M: mpmath.matrix, eigvals_only: bool):
-    try:
-        return mpmath.eigsy(M, eigvals_only=eigvals_only)
-    except RuntimeError as exc:
-        raise EigenFailure(str(exc)) from exc
-
-
 def sym_eigen(M: mpmath.matrix) -> list:
     """Eigenvalues of a symmetric matrix (mpmath's ``eigsy``), sorted ascending."""
-    return sorted(_eigsy(M, eigvals_only=True))
-
-
-def sym_eigenvectors(M: mpmath.matrix):
-    """(eigenvalues, eigenvector matrix) of a symmetric matrix, in mpmath's
-    order: column i of the matrix belongs to eigenvalue i."""
-    return _eigsy(M, eigvals_only=False)
+    try:
+        return sorted(mpmath.eigsy(M, eigvals_only=True))
+    except RuntimeError as exc:
+        raise EigenFailure(str(exc)) from exc
 
 
 def solve_dense(A: Sequence[Sequence], b: Sequence) -> list:

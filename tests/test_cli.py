@@ -97,11 +97,14 @@ class TestConfig:
             load_config(write_config(tmp_path, doc))
 
     def test_bad_point_diagnostic(self, tmp_path):
-        doc = dict(
-            LEGENDRE_CONFIG, points=[{"c": "2", "terms": [{"k": "one", "lambda": "1"}]}]
-        )
-        with pytest.raises(ConfigError, match=r"points\[0\]"):
-            load_config(write_config(tmp_path, doc))
+        # A derivative order is a JSON integer >= 0: not a string, not a
+        # boolean, not negative.
+        for k in ("one", True, -1):
+            doc = dict(
+                LEGENDRE_CONFIG, points=[{"c": "2", "terms": [{"k": k, "lambda": "1"}]}]
+            )
+            with pytest.raises(ConfigError, match=r"points\[0\]\.terms\[0\]"):
+                load_config(write_config(tmp_path, doc))
 
 
 class TestCommands:
@@ -294,10 +297,20 @@ class TestDeterminism:
 
 class TestExitCodes:
     def test_config_error_is_2(self, tmp_path, capsys):
+        # Each bad input is named: a boolean is not an integer, --precision 0
+        # is not a missing override, and no derivative order is negative.
+        negative_k = dict(SADDLE_CONFIG, points=[{"c": "2", "terms": [{"k": -1, "lambda": "1"}]}])
+        cases = [
+            ("polys", "{not json", [], "not valid JSON"),
+            ("polys", json.dumps(dict(SADDLE_CONFIG, n=True)), [], "n:"),
+            ("polys", json.dumps(SADDLE_CONFIG), ["--precision", "0"], "precision_bits"),
+        ] + [(command, json.dumps(negative_k), [], "config.points[0].terms[0]") for command in sorted(cli.COMMANDS)]
         path = tmp_path / "bad.json"
-        path.write_text("{not json", encoding="utf-8")
-        assert main(["polys", "--config", str(path)]) == 2
-        assert "config error" in capsys.readouterr().err
+        for command, text, extra, field in cases:
+            path.write_text(text, encoding="utf-8")
+            assert main([command, "--config", str(path)] + extra) == 2, (command, text, extra)
+            err = capsys.readouterr().err
+            assert "config error" in err and field in err, err
 
     def test_invalid_product_is_2(self, tmp_path, capsys):
         doc = dict(LEGENDRE_CONFIG, points=[{"c": "0.5", "terms": [{"k": 0, "lambda": "1"}]}])

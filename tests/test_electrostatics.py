@@ -1,13 +1,20 @@
 """Tests for the field decomposition, energy, gradient, Hessian, and the
 classification of zero configurations."""
 
+import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from mpmath import mpf
 
 from jacobisobolev.electrostatics import (
+    MERGE_TOL,
     Classification,
+    FieldDecomposition,
     SingularConfiguration,
     ZerosNotSimple,
+    _groups,
+    _merged,
     classify,
     decompose_field,
     gershgorin_sufficient,
@@ -15,7 +22,7 @@ from jacobisobolev.electrostatics import (
     hessian,
 )
 from jacobisobolev.ladder import build_ladder
-from jacobisobolev.numkernel import tol
+from jacobisobolev.numkernel import cholesky_pd, sym_eigen, tol
 from jacobisobolev.sobolev import zeros_of
 from oracles import energy
 
@@ -162,9 +169,80 @@ class TestClassification:
         assert curv[-1] < 0
 
     def test_complex_zero_config_rejected(self, fd3):
-        class _StubFamily:
-            def zeros(self, n):
-                return [(mpf(0), mpf(-1)), (mpf(0), mpf(1))]  # zeros of x^2 + 1
-
         with pytest.raises(ZerosNotSimple):
-            classify(fd3, _StubFamily(), 2)
+            classify(fd3, _StubFamily([(mpf(0), mpf(-1)), (mpf(0), mpf(1))]), 2)  # x^2 + 1
+
+    def test_close_zeros_rejected(self, fd3):
+        with pytest.raises(ZerosNotSimple, match="multiple"):
+            classify(fd3, _StubFamily([(mpf(0), mpf(0)), (tol(2) / 2, mpf(0))]), 2)
+
+    def test_empty_field_is_degenerate(self):
+        # With no external field two charges only repel each other: H is
+        # w [[1, -1], [-1, 1]], whose eigenvalue 0 belongs to translation.
+        fd = FieldDecomposition(poles=[], attractors=[])
+        report = classify(fd, _StubFamily([(mpf(-1) / 2, mpf(0)), (mpf(1) / 2, mpf(0))]), 2)
+        assert report.classification is Classification.DEGENERATE
+        assert abs(report.hessian_eigs[0]) <= tol(4)
+        assert report.negative_index_set == []
+
+
+class _StubFamily:
+    """A family that gives classify the zeros it is built with."""
+
+    def __init__(self, roots):
+        self.roots = roots
+
+    def zeros(self, n):
+        return self.roots
+
+
+# Zeros sit on odd multiples of 1/64 in (-1, 1), charges and attractors on
+# even ones, so that no charge meets a pole.
+_zeros = st.lists(st.integers(-31, 31), min_size=1, max_size=7, unique=True).map(
+    lambda ks: [mpf(2 * k + 1) / 64 for k in sorted(ks)]
+)
+_places = st.integers(-128, 128).map(lambda k: mpf(k) / 32)
+_exponents = st.integers(-8, 8).filter(bool).map(lambda k: mpf(k) / 2)
+
+
+@st.composite
+def _fields(draw):
+    poles = draw(st.lists(st.tuples(_places, _exponents), max_size=4))
+    reals = draw(st.lists(st.tuples(_places, st.just(mpf(0)), _exponents.map(abs)), max_size=3))
+    pairs = draw(
+        st.lists(st.tuples(_places, st.integers(1, 64).map(lambda k: mpf(k) / 32), _exponents.map(abs)), max_size=3)
+    )
+    return FieldDecomposition(poles=poles, attractors=reals + pairs)
+
+
+@given(_fields(), _zeros)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_negative_eigenvalues_are_bounded_by_curvatures(fd, zeros):
+    # H = diag(curvatures) + a graph Laplacian, which is positive
+    # semidefinite, so by Weyl's inequality H has at most as many negative
+    # eigenvalues as there are curvatures <= 0; classify reads the negative
+    # directions off the curvatures alone and needs no eigenvectors.
+    H = hessian(fd, zeros)
+    eigs = sym_eigen(H)
+    curvatures = gershgorin_sufficient(fd, zeros)
+    assert sum(1 for e in eigs if e < 0) <= sum(1 for c in curvatures if c <= 0)
+    if all(c > 0 for c in curvatures):
+        assert all(e > 0 for e in eigs)
+    keep = [k for k, c in enumerate(curvatures) if c > 0]
+    if keep:
+        assert cholesky_pd(mpmath.matrix([[H[i, j] for j in keep] for i in keep]))
+
+
+@given(st.lists(st.integers(0, 40), max_size=12))
+@settings(max_examples=60, deadline=None, derandomize=True)
+@example([0, 6, 9, 12])  # the chain {1.5, 2.25, 3} t has mean 2.25 t, within 3 t of 0
+def test_groups_partition(quarters):
+    # Every item is in exactly one group; items in a group chain within
+    # MERGE_TOL of their neighbour, and neighbouring groups do not touch.
+    items = [(mpf(q) * MERGE_TOL / 4, i) for i, q in enumerate(quarters)]
+    groups = _groups(items, key=lambda item: item[0])
+    assert sorted(i for group in groups for _, i in group) == list(range(len(items)))
+    for group in groups:
+        assert all(_merged(a[0], b[0]) and a[0] <= b[0] for a, b in zip(group, group[1:]))
+    for left, right in zip(groups, groups[1:]):
+        assert not _merged(left[-1][0], right[0][0])

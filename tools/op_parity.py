@@ -7,14 +7,15 @@ between two checkouts.
 `run` builds every op of the benchmark's `product-stream` workload for each
 seed, runs it through `cli.main` in this process, and checks its output as
 the benchmark does.  It then runs `zeros`, `ode`, `electro` and `verify` on
-every shipped `configs/*.json` at each n in SHIPPED_N and each precision in
-SHIPPED_PRECISIONS, which root S_n and the ladder polynomials of products
-that no generated op reaches, and records their reports.  The ops, the
-configs and the checks come from the checkout's `perfbench/workloads.py`
-and `perfbench/checks.py`, imported as they are, and the program from its
-`src/`.  Each op's record holds its outcome (ok, exit2, exit3, uncaught or
-wrong), its correct digits where the check gives them, and a hash of its
-report.  Generated configs go to `CHECKOUT/.op_parity_work/`.
+every shipped `configs/*.json` at each n that SHIPPED_N gives the command
+and each precision in SHIPPED_PRECISIONS, which root S_n and the ladder
+polynomials of products that no generated op reaches, and records their
+reports.  The ops, the configs and the checks come from the checkout's
+`perfbench/workloads.py` and `perfbench/checks.py`, imported as they are,
+and the program from its `src/`.  Each op's record holds its outcome (ok,
+exit2, exit3, uncaught or wrong), its correct digits where the check gives
+them, and a hash of its report.  Generated configs go to
+`CHECKOUT/.op_parity_work/`.
 
 `diff` pairs the ops of two records by (seed, op id), prints every change of
 outcome, of digits and of report, and exits 1 when an op's outcome gets
@@ -38,9 +39,9 @@ import traceback
 MAX_DIGIT_DROP = 0.5
 # Outcomes from best to worst; exit codes 2 and 3 are named failures.
 RANK = {"ok": 0, "exit2": 1, "exit3": 1, "wrong": 2, "uncaught": 3}
-# Shipped-config ops, recorded with seed None.
-SHIPPED_COMMANDS = ("zeros", "ode", "electro", "verify")
-SHIPPED_N = (12, 24)
+# Shipped-config ops, recorded with seed None: the degrees of each command,
+# electro also at n = 40, the degree of the benchmark's electro-n40 workload.
+SHIPPED_N = {"zeros": (12, 24), "ode": (12, 24), "electro": (12, 24, 40), "verify": (12, 24)}
 SHIPPED_PRECISIONS = (128, 256, 512)
 
 
@@ -104,8 +105,8 @@ def run(args) -> int:
         print(f"seed {seed}: {sum(r['outcome'] == 'ok' for r in done)}/{len(done)} ok", file=sys.stderr)
     for name in workloads.SHIPPED:
         config = os.path.join(root, "configs", f"{name}.json")
-        for command in SHIPPED_COMMANDS:
-            for n in SHIPPED_N:
+        for command, degrees in SHIPPED_N.items():
+            for n in degrees:
                 for bits in SHIPPED_PRECISIONS:
                     argv = [command, "--config", config, "--n", str(n), "--precision", str(bits)]
                     start = time.perf_counter()
