@@ -352,7 +352,7 @@ def classify(fd: FieldDecomposition, family: SobolevFamily, n: int) -> ElectroRe
         # no eigenvectors.
         negative_set = [k for k, c in enumerate(curvatures) if c <= 0]
         keep = [k for k in range(n) if k not in negative_set]
-        truncated_pd = bool(keep) and cholesky_pd(mpmath.matrix([[H[i, j] for j in keep] for i in keep]))
+        truncated_pd = bool(keep) and cholesky_pd([[H[i, j] for j in keep] for i in keep])
 
     return ElectroReport(
         zeros=zeros,

@@ -2,8 +2,9 @@
 and the classical first-order ladder (raising/lowering) coefficients.
 
 Conventions: the weight is (1-x)^alpha (1+x)^beta on [-1, 1] with
-alpha, beta > -1, and all polynomials are monic.  The norm h_n is the
-exponential of a sum of log-Gamma terms (log_norm).
+alpha, beta > -1, and all polynomials are monic.  The norms come from the
+recurrence: h_0 is the exponential of a sum of log-Gamma terms (log_norm)
+and h_n = gamma2_n h_{n-1}.
 """
 
 from __future__ import annotations
@@ -66,36 +67,45 @@ def log_norm(params: JacobiParams, n: int) -> mpf:
 
 @dataclass
 class JacobiCache:
-    """Monic Jacobi data through a requested degree, grown append-only."""
+    """Monic Jacobi recurrence coefficients and norms through a requested
+    degree, grown append-only.  The monomial form of P_k is built the first
+    time poly(k) asks for it."""
 
     params: JacobiParams
-    polys: list = field(default_factory=list)
     norms: list = field(default_factory=list)
     gamma1s: list = field(default_factory=list)
     gamma2s: list = field(default_factory=list)
+    polys: list = field(default_factory=list)
 
     @property
     def top(self) -> int:
-        return len(self.polys) - 1
+        return len(self.norms) - 1
 
     def extend(self, n: int) -> None:
         while self.top < n:
             k = self.top + 1
             if k == 0:
-                self.polys.append(Poly.one())
+                self.norms.append(mpmath.exp(log_norm(self.params, 0)))
+                self.gamma2s.append(mpf(0))
             else:
-                # gamma1_{k-1} and gamma2_{k-1} were stored by the previous step.
-                p = Poly.x() * self.polys[k - 1] - self.gamma1s[k - 1] * self.polys[k - 1]
-                if k >= 2:
-                    p = p - self.gamma2s[k - 1] * self.polys[k - 2]
-                self.polys.append(p)
-            self.norms.append(mpmath.exp(log_norm(self.params, k)))
+                g2 = gamma2(self.params, k)
+                self.norms.append(g2 * self.norms[k - 1])
+                self.gamma2s.append(g2)
             self.gamma1s.append(gamma1(self.params, k))
-            self.gamma2s.append(gamma2(self.params, k) if k >= 1 else mpf(0))
 
     def poly(self, k: int) -> Poly:
         self.extend(k)
-        return self.polys[k]
+        polys = self.polys
+        while len(polys) <= k:
+            j = len(polys)
+            if j == 0:
+                p = Poly.one()
+            else:
+                p = Poly.x() * polys[j - 1] - self.gamma1s[j - 1] * polys[j - 1]
+                if j >= 2:
+                    p = p - self.gamma2s[j - 1] * polys[j - 2]
+            polys.append(p)
+        return polys[k]
 
     def norm(self, k: int) -> mpf:
         self.extend(k)

@@ -16,7 +16,7 @@ import mpmath
 from mpmath import mpf
 
 from .jacobi import ladder_coeffs, raise_over_gamma2
-from .numkernel import Poly, taylor_poly, tol
+from .numkernel import Poly, tol
 from .sobolev import SobolevFamily
 
 
@@ -67,6 +67,21 @@ class LadderData:
     P0: Poly
 
 
+def _taylor(derivs, c, k: int) -> Poly:
+    """sum_{i<=k} derivs[i]/i! (x - c)^i: the Taylor polynomial of degree
+    <= k at c of a function whose derivatives there are derivs[i]."""
+    base = Poly((-c, 1))
+    out = Poly.zero()
+    fact = mpf(1)
+    power = Poly.one()
+    for i in range(k + 1):
+        if i > 0:
+            fact *= i
+            power = power * base
+        out = out + power * (derivs[i] / fact)
+    return out
+
+
 def connection_level(family: SobolevFamily, m: int):
     """(A2, B2, A3, B3) at family level m: the numerators over rho of the
     connection coefficients F_{1,m}, G_{1,m} with
@@ -82,12 +97,13 @@ def _connection_level(family: SobolevFamily, m: int):
     a2, b2 = product.rho(), Poly.zero()
     if m > 0:
         hm1 = cache.norm(m - 1)
+        prev, cur = family.values(m - 1), family.values(m)
         for (j, k, lam), sval in zip(product.active_pairs, sder):
             c = product.points[j].c
             coef = mpmath.factorial(k) * lam * sval / hm1
             rjk = product.rho_jk(j, k)
-            a2 = a2 - coef * (taylor_poly(cache.poly(m - 1), c, k) * rjk)
-            b2 = b2 + coef * (taylor_poly(cache.poly(m), c, k) * rjk)
+            a2 = a2 - coef * (_taylor(prev[j], c, k) * rjk)
+            b2 = b2 + coef * (_taylor(cur[j], c, k) * rjk)
     a_hat, b_hat, c_hat, d_hat = ladder_coeffs(product.jacobi, m)
     one_minus_x2 = Poly((1, 0, -1))
     a3 = a2.deriv() * one_minus_x2 + a_hat * a2 + d_hat * b2

@@ -260,25 +260,6 @@ def _integers(coeffs: Sequence) -> tuple:
     return [(-man if sign else man) << (exp - e) if man else 0 for sign, man, exp, _ in raws], e
 
 
-def taylor_poly(f: Poly, y, k: int) -> Poly:
-    """Taylor polynomial of degree <= k of f centered at y, in powers of x."""
-    if k < 0:
-        raise ValueError("Taylor order must be nonnegative")
-    y = mpf(y)
-    base = Poly((-y, 1))
-    out = Poly.zero()
-    fact = mpf(1)
-    power = Poly.one()
-    g = f
-    for nu in range(k + 1):
-        if nu > 0:
-            fact *= nu
-            power = power * base
-            g = g.deriv()
-        out = out + power * (g(y) / fact)
-    return out
-
-
 def sym_eigen(M: mpmath.matrix) -> list:
     """Eigenvalues of a symmetric matrix (mpmath's ``eigsy``), sorted ascending."""
     try:
@@ -315,15 +296,15 @@ def solve_dense(A: Sequence[Sequence], b: Sequence) -> list:
     return x
 
 
-def cholesky_pd(M: mpmath.matrix) -> bool:
-    """True iff the symmetric M admits a Cholesky factorization with strictly
-    positive pivots.  (mpmath.cholesky instead rejects every pivot below an
-    absolute epsilon.)"""
-    n = M.rows
+def cholesky_pd(M: Sequence[Sequence]) -> bool:
+    """True iff the symmetric M, given as a list of rows, admits a Cholesky
+    factorization with strictly positive pivots.  (mpmath.cholesky instead
+    rejects every pivot below an absolute epsilon.)"""
+    n = len(M)
     L = [[mpf(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1):
-            s = M[i, j]
+            s = M[i][j]
             for k in range(j):
                 s -= L[i][k] * L[j][k]
             if i == j:

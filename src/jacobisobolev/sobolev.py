@@ -46,6 +46,12 @@ class MassPoint:
         object.__setattr__(self, "c", mpf(c))
         cleaned = []
         for k, lam in terms:
+            try:
+                integral = not isinstance(k, bool) and k == int(k) and k >= 0
+            except (TypeError, ValueError, OverflowError):  # None, nan, inf, ...
+                integral = False
+            if not integral:
+                raise InvalidMassPoint(f"derivative orders must be nonnegative integers, got {k!r}")
             lam = mpf(lam)
             if lam < 0:
                 raise InvalidMassPoint("masses must be nonnegative")
@@ -167,6 +173,12 @@ def _dot(u, v) -> mpf:
     return sum((a * b for a, b in zip(u, v)), mpf(0))
 
 
+def _check_tol(sder) -> mpf:
+    """The threshold of the derivative-vector checks: tol(3) relative to the
+    largest |s_i|, and absolute below 1."""
+    return tol(3) * max([mpf(1)] + [abs(v) for v in sder])
+
+
 def kernel_dk(cache: JacobiCache, n: int, ell: int, k: int, x, y) -> mpf:
     """Derivative kernel K_{n-1}^{(ell,k)}(x, y) by direct summation; the
     reference for SobolevFamily.kernel."""
@@ -190,46 +202,90 @@ def kernel_poly_dk(cache: JacobiCache, n: int, k: int, y) -> Poly:
 
 @dataclass
 class SobolevFamily:
-    """S_0..S_n with derivative vectors at the mass points, Jacobi
-    coefficients and Lambda_m.
+    """S_0..S_n through their derivative vectors at the mass points, Lambda_m
+    and, on demand, Jacobi coefficients and monomial forms.
 
-    All of them are read from one table: v_nu = (P_nu^(k)(c_j)) over the
-    active pairs, one row per degree.  ``kernel`` holds
-    K_top(C, C) = sum_{nu<=top} v_nu v_nu^T / h_nu and grows by one term per
-    degree, and S_m = sum_nu a_nu P_nu with a_m = 1 and
-    a_nu = -(lambda o s_m) . v_nu / h_nu, where s_m is the derivative vector.
-    ``memo`` holds the results of zeros and of the ladder layer's
-    build_ladder and connection_level per (kind, n, working precision)."""
+    Everything is read from one table, grown by one row per degree: for each
+    mass point c_j, the values P_nu^(k)(c_j) for k <= d_j, by the
+    differentiated recurrence
+    P_{nu+1}^(k)(c) = (c - gamma1_nu) P_nu^(k)(c) + k P_nu^(k-1)(c)
+    - gamma2_nu P_{nu-1}^(k)(c), which computes the dominant solution for
+    |c| >= 1 and so runs forward stably (Gautschi, SIAM Review 9, 1967).
+    v_nu is its restriction to the active pairs.  ``kernel`` holds the rows of
+    K_top(C, C) = sum_{nu<=top} v_nu v_nu^T / h_nu, one term added per
+    degree, and the derivative vector s_m of S_m solves
+    (I + K_{m-1} L) s_m = v_m.  S_m = sum_nu a_nu P_nu with a_m = 1 and
+    a_nu = -(lambda o s_m) . v_nu / h_nu; jacobi_coeffs builds that row and
+    poly the monomial form only when asked.  ``memo`` holds the results of
+    zeros and of the ladder layer's build_ladder and connection_level per
+    (kind, n, working precision)."""
 
     product: SobolevProduct
     jacobi_cache: JacobiCache
-    sob_polys: list = field(default_factory=list)
     deriv_vectors: list = field(default_factory=list)
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    jacobi_values: list = field(default_factory=list, init=False, repr=False, compare=False)
-    jacobi_rows: list = field(default_factory=list, init=False, repr=False, compare=False)
+    table: list = field(default_factory=list, init=False, repr=False, compare=False)
+    jacobi_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    sob_polys: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     lambda_forms: list = field(default_factory=list, init=False, repr=False, compare=False)
-    kernel: mpmath.matrix = field(init=False, repr=False, compare=False)
+    kernel: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.kernel = mpmath.matrix(self.product.d_star, self.product.d_star)
+        dstar = self.product.d_star
+        self.kernel = [[mpf(0)] * dstar for _ in range(dstar)]
 
     @property
     def top(self) -> int:
-        return len(self.sob_polys) - 1
-
-    def poly(self, m: int) -> Poly:
-        self.extend(m)
-        return self.sob_polys[m]
+        return len(self.deriv_vectors) - 1
 
     def deriv_vector(self, m: int) -> list:
         self.extend(m)
         return self.deriv_vectors[m]
 
-    def jacobi_coeffs(self, n: int) -> list:
-        """a_0..a_n with S_n = sum_nu a_nu P_nu."""
-        self.extend(n)
-        return self.jacobi_rows[n]
+    def values(self, m: int) -> list:
+        """Per mass point c_j, the list P_m^(k)(c_j) for k = 0..d_j."""
+        self.extend(m)
+        return self.table[m]
+
+    def jacobi_coeffs(self, m: int) -> list:
+        """a_0..a_m with S_m = sum_nu a_nu P_nu, built on first use and
+        checked against the derivative vector: sum_nu a_nu v_nu = s_m."""
+        self.extend(m)
+        if m not in self.jacobi_rows:
+            cache = self.jacobi_cache
+            pairs = self.product.active_pairs
+            sder = self.deriv_vectors[m]
+            weights = [lam * sval for (_, _, lam), sval in zip(pairs, sder)]
+            values = [self._on_pairs(nu) for nu in range(m + 1)]
+            row = [-_dot(weights, v) / cache.norm(nu) for nu, v in enumerate(values[:m])]
+            row.append(mpf(1))
+            check_tol = _check_tol(sder)
+            for i, ((j, k, _), sval) in enumerate(zip(pairs, sder)):
+                direct = _dot(row, [v[i] for v in values])
+                if abs(direct - sval) > check_tol:
+                    raise InternalContradiction(
+                        f"Jacobi row of S_{m} off the derivative vector at pair ({j},{k}): {direct} vs {sval}"
+                    )
+            self.jacobi_rows[m] = row
+        return self.jacobi_rows[m]
+
+    def poly(self, m: int) -> Poly:
+        """S_m in monomial form, summed from its Jacobi coefficients on first
+        use and checked by Horner's rule at the mass points."""
+        if m not in self.sob_polys:
+            cache = self.jacobi_cache
+            row = self.jacobi_coeffs(m)
+            sm = sum((a * cache.poly(nu) for nu, a in enumerate(row)), Poly.zero())
+            sder = self.deriv_vectors[m]
+            check_tol = _check_tol(sder)
+            for (j, k, _), sval in zip(self.product.active_pairs, sder):
+                direct = sm.deriv(k)(self.product.points[j].c)
+                if abs(direct - sval) > check_tol:
+                    raise InternalContradiction(
+                        f"derivative vector mismatch at pair ({j},{k}): {direct} vs {sval}"
+                    )
+            self.sob_polys[m] = sm
+        return self.sob_polys[m]
 
     def memoised(self, kind: str, n: int, build):
         """build() once per (kind, n, working precision)."""
@@ -257,28 +313,49 @@ class SobolevFamily:
         while self.top < n:
             self._build_next()
 
+    def _on_pairs(self, nu: int) -> list:
+        """v_nu: the table row of degree nu over the active pairs."""
+        return [self.table[nu][j][k] for j, k, _ in self.product.active_pairs]
+
+    def _next_table_row(self, m: int) -> list:
+        points = self.product.points
+        if m == 0:
+            return [[mpf(1)] + [mpf(0)] * p.max_order for p in points]
+        cache = self.jacobi_cache
+        g1, g2 = cache.gamma1s[m - 1], cache.gamma2s[m - 1]
+        prev = self.table[m - 1]
+        prev2 = self.table[m - 2] if m >= 2 else [[0] * len(r) for r in prev]
+        out = []
+        for p, r1, r2 in zip(points, prev, prev2):
+            shift = p.c - g1
+            row = [shift * r1[0] - g2 * r2[0]]
+            row += [shift * r1[k] + k * r1[k - 1] - g2 * r2[k] for k in range(1, len(r1))]
+            out.append(row)
+        return out
+
     def _build_next(self) -> None:
         m = self.top + 1
-        cache = self.jacobi_cache
         product = self.product
         pairs = product.active_pairs
         dstar = len(pairs)
-        pm = cache.poly(m)
-        vm = [pm.deriv(k)(product.points[j].c) for j, k, _ in pairs]
+        self.jacobi_cache.extend(m)
+        self.table.append(self._next_table_row(m))
+        vm = self._on_pairs(m)
         kmat = self.kernel  # K_{m-1}(C, C) over the active pairs
 
         # Positive-definiteness of L^{-1} + K backs nonsingularity of I + K L.
         if m >= product.d:
-            shifted = kmat.copy()
-            for i, (_, _, lam) in enumerate(pairs):
-                shifted[i, i] += 1 / lam
+            shifted = [
+                [kmat[i][j] + (1 / pairs[i][2] if i == j else 0) for j in range(dstar)]
+                for i in range(dstar)
+            ]
             if not cholesky_pd(shifted):
                 raise InternalContradiction(
                     f"L^-1 + K_{m - 1}(C,C) failed the positive-definiteness check"
                 )
 
         A = [
-            [kmat[i, j] * pairs[j][2] + (1 if i == j else 0) for j in range(dstar)]
+            [kmat[i][j] * pairs[j][2] + (1 if i == j else 0) for j in range(dstar)]
             for i in range(dstar)
         ]
         try:
@@ -286,29 +363,21 @@ class SobolevFamily:
         except SingularSystem as exc:  # theoretically impossible for valid products
             raise InternalContradiction(str(exc)) from exc
 
+        # Consistency: the solved derivative vector satisfies s + K L s = v_m,
+        # the identity S_m^(k)(c_j) = s_m that its Jacobi row is checked by.
         weights = [lam * sval for (_, _, lam), sval in zip(pairs, sder)]
-        row = [-_dot(weights, v) / cache.norm(nu) for nu, v in enumerate(self.jacobi_values)]
-        row.append(mpf(1))
-        sm = sum((a * cache.poly(nu) for nu, a in enumerate(row)), Poly.zero())
+        check_tol = _check_tol(sder)
+        for i, ((j, k, _), sval) in enumerate(zip(pairs, sder)):
+            resid = sval + _dot(kmat[i], weights) - vm[i]
+            if abs(resid) > check_tol:
+                raise InternalContradiction(f"kernel system residual {resid} at pair ({j},{k})")
 
-        # Consistency: the solved derivative vector equals direct evaluation.
-        check_tol = tol(3) * max([mpf(1)] + [abs(v) for v in sder])
-        for (j, k, _), sval in zip(pairs, sder):
-            direct = sm.deriv(k)(product.points[j].c)
-            if abs(direct - sval) > check_tol:
-                raise InternalContradiction(
-                    f"derivative vector mismatch at pair ({j},{k}): {direct} vs {sval}"
-                )
-
-        self.sob_polys.append(sm)
         self.deriv_vectors.append(sder)
-        self.jacobi_rows.append(row)
         self.lambda_forms.append(_dot(weights, vm))
-        self.jacobi_values.append(vm)
-        hm = cache.norm(m)
+        hm = self.jacobi_cache.norm(m)
         for i in range(dstar):
             for j in range(dstar):
-                kmat[i, j] += vm[i] * vm[j] / hm
+                kmat[i][j] += vm[i] * vm[j] / hm
 
 
 def build_family(product: SobolevProduct, n: int) -> SobolevFamily:

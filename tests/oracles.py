@@ -1,7 +1,8 @@
 """The paper's identities as referees for the library.
 
 None of these is on a path that the CLI runs: each restates a result of
-the theory (the closed Christoffel-Darboux kernel, Cramer recovery of P_n,
+the theory (Taylor polynomials of a monomial form, the closed
+Christoffel-Darboux kernel, Cramer recovery of P_n,
 the n-fold raising product, the Lambda law for the leading coefficient of
 Delta, quasi-orthogonality, P_n(1) in closed form, the logarithmic energy)
 so that a test can hold the library's construction against it.
@@ -13,7 +14,7 @@ from mpmath import mpf
 from jacobisobolev.electrostatics import FieldDecomposition, SingularConfiguration
 from jacobisobolev.jacobi import JacobiCache, JacobiParams, gamma2
 from jacobisobolev.ladder import LadderData, _exact_div, build_ladder, connection_level, lambda_form
-from jacobisobolev.numkernel import Poly, taylor_poly, tol
+from jacobisobolev.numkernel import Poly, tol
 from jacobisobolev.sobolev import SobolevError, SobolevFamily, inner_mu
 
 # Below this separation the closed Christoffel-Darboux form of the kernel
@@ -23,6 +24,25 @@ CD_SEPARATION = mpf("1e-8")
 
 class NotApplicable(SobolevError):
     pass
+
+
+def taylor_poly(f: Poly, y, k: int) -> Poly:
+    """Taylor polynomial of degree <= k of f centered at y, in powers of x."""
+    if k < 0:
+        raise ValueError("Taylor order must be nonnegative")
+    y = mpf(y)
+    base = Poly((-y, 1))
+    out = Poly.zero()
+    fact = mpf(1)
+    power = Poly.one()
+    g = f
+    for nu in range(k + 1):
+        if nu > 0:
+            fact *= nu
+            power = power * base
+            g = g.deriv()
+        out = out + power * (g(y) / fact)
+    return out
 
 
 def kernel_dk_closed(cache: JacobiCache, n: int, k: int, x, y) -> mpf:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from jacobisobolev import cli, ladder, numkernel, sobolev
+from jacobisobolev import cli, jacobi, ladder, numkernel
 from jacobisobolev.cli import (
     ConfigError,
     cmd_polys,
@@ -268,6 +268,27 @@ class TestDeterminism:
         levels.clear()
         assert main(["verify", "--config", path, "--n", "6", "--out", str(tmp_path / "verify.json")]) == 0
         assert sorted(levels) == [1, 2, 3, 4, 5, 6]
+
+    def test_monomial_forms_on_demand(self, tmp_path, monkeypatch):
+        # zeros reads S_n through its Jacobi coefficients only; polys sums
+        # one monomial S_m, at n.
+        shipped = os.path.join(CONFIG_DIR, "two_symmetric_masses.json")
+        families = []
+
+        def capturing(product, n):
+            families.append(build_family(product, n))
+            return families[-1]
+
+        monkeypatch.setattr(cli, "build_family", capturing)
+        assert main(["polys", "--config", shipped, "--n", "10", "--out", str(tmp_path / "polys.json")]) == 0
+        assert list(families[0].sob_polys) == [10]
+
+        def no_monomials(self, k):
+            raise AssertionError("monomial P_k built")
+
+        monkeypatch.setattr(jacobi.JacobiCache, "poly", no_monomials)
+        assert main(["zeros", "--config", shipped, "--n", "10", "--out", str(tmp_path / "zeros.json")]) == 0
+        assert families[1].sob_polys == {}
 
     @pytest.mark.parametrize("command", ["ode", "electro"])
     def test_reports_never_format_polys(self, tmp_path, monkeypatch, command):

@@ -1,7 +1,6 @@
 """Tests for the field decomposition, energy, gradient, Hessian, and the
 classification of zero configurations."""
 
-import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -230,7 +229,7 @@ def test_negative_eigenvalues_are_bounded_by_curvatures(fd, zeros):
         assert all(e > 0 for e in eigs)
     keep = [k for k, c in enumerate(curvatures) if c > 0]
     if keep:
-        assert cholesky_pd(mpmath.matrix([[H[i, j] for j in keep] for i in keep]))
+        assert cholesky_pd([[H[i, j] for j in keep] for i in keep])
 
 
 @given(st.lists(st.integers(0, 40), max_size=12))

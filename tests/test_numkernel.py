@@ -24,9 +24,9 @@ from jacobisobolev.numkernel import (
     set_precision,
     solve_dense,
     sym_eigen,
-    taylor_poly,
     tol,
 )
+from oracles import taylor_poly
 
 def monomial_evaluator(p):
     """(p(z), p'(z), sum_k |c_k z^k|): aberth_roots' evaluator for a Poly."""
@@ -298,8 +298,8 @@ class TestLinearAlgebra:
             solve_dense([[1, 2], [2, 4]], [1, 2])
 
     def test_cholesky_pd(self):
-        assert cholesky_pd(mpmath.matrix([[2, 1], [1, 2]]))
-        assert not cholesky_pd(mpmath.matrix([[1, 2], [2, 1]]))
+        assert cholesky_pd([[mpf(2), mpf(1)], [mpf(1), mpf(2)]])
+        assert not cholesky_pd([[mpf(1), mpf(2)], [mpf(2), mpf(1)]])
 
 
 class TestRoots:

@@ -9,7 +9,7 @@ import pytest
 from mpmath import mp, mpc, mpf
 
 from jacobisobolev import numkernel, sobolev
-from jacobisobolev.jacobi import JacobiParams, build_jacobi
+from jacobisobolev.jacobi import JacobiParams, build_jacobi, log_norm
 from jacobisobolev.numkernel import Poly, RootFailure, tol
 from jacobisobolev.sobolev import (
     InvalidMassPoint,
@@ -103,6 +103,16 @@ class TestMassPoint:
     def test_duplicate_orders_rejected(self):
         with pytest.raises(InvalidMassPoint):
             MassPoint(2, [(1, 1), (1, 2)])
+
+    @pytest.mark.parametrize(
+        "order", [-1, True, False, 1.5, float("nan"), float("inf"), mpf("-inf"), None, "1", 1j]
+    )
+    def test_bad_orders_rejected(self, order):
+        # Checked before zero masses are dropped, so (False, 0) fails too.
+        with pytest.raises(InvalidMassPoint, match="derivative orders"):
+            MassPoint(2, [(order, 1), (3, 0)])
+        with pytest.raises(InvalidMassPoint, match="derivative orders"):
+            MassPoint(2, [(order, 0), (3, 1)])
 
 
 class TestProduct:
@@ -251,23 +261,55 @@ class TestConstruction:
 class TestJacobiTable:
     @pytest.mark.parametrize("which", [0, 1, 2, 3])
     def test_table_matches_kernel_sums(self, all_products, which):
-        # The in-place kernel matrix against kernel_dk (the same sum in the
-        # same order, so equal), and S_m from the Jacobi coefficients against
-        # P_m - sum lambda s K_{m-1}^{(0,k)}(x, c).
+        # The in-place kernel rows against kernel_dk's Horner sums at 256
+        # more bits, within tol(3) of the entry's scale sqrt(K_aa K_bb) (K is
+        # positive semidefinite, so it bounds |K_ab|), and S_m from the
+        # Jacobi coefficients against P_m - sum lambda s K_{m-1}^{(0,k)}(x, c).
         product = all_products[which]
         pairs = product.active_pairs
         family = build_family(product, 0)
         cache = family.jacobi_cache
+        with mp.workprec(mp.prec + 256):
+            ref_cache = build_jacobi(product.jacobi, 12)
         for m in range(1, 13):
-            for a, (ja, ka, _) in enumerate(pairs):
-                for b, (jb, kb, _) in enumerate(pairs):
-                    want = kernel_dk(cache, m, ka, kb, product.points[ja].c, product.points[jb].c)
-                    assert family.kernel[a, b] == want, (m, a, b)
+            cs = [product.points[j].c for j, _, _ in pairs]
+            with mp.workprec(mp.prec + 256):
+                want = [[kernel_dk(ref_cache, m, ka, kb, ca, cb) for (_, kb, _), cb in zip(pairs, cs)]
+                        for (_, ka, _), ca in zip(pairs, cs)]
+            for a in range(len(pairs)):
+                for b in range(len(pairs)):
+                    scale = mpmath.sqrt(want[a][a] * want[b][b])
+                    assert abs(family.kernel[a][b] - want[a][b]) <= tol(3) * scale, (m, a, b)
             want = cache.poly(m)
             for (j, k, lam), sval in zip(pairs, family.deriv_vector(m)):
                 want = want - (lam * sval) * kernel_poly_dk(cache, m, k, product.points[j].c)
             sm = family.poly(m)
             assert (sm - want).max_abs_coeff() <= tol(3) * max(1, want.max_abs_coeff()), m
+
+    def test_table_by_recurrence_at_large_beta(self):
+        # alpha = 0, beta = 100, c = 2: Horner's rule on the monomial P_m
+        # keeps about 67 of the 77 digits at 256 bits, the differentiated
+        # recurrence about 76.
+        product = SobolevProduct(JacobiParams(0, 100), [MassPoint(2, [(2, 1)])])
+        with mp.workprec(768):
+            want = [build_family(product, 40).values(m)[0] for m in range(41)]
+        family = build_family(product, 40)
+        for m in range(41):
+            for k in range(3):
+                got, ref = family.values(m)[0][k], want[m][k]
+                if ref:
+                    assert abs(got - ref) <= mpf("1e-74") * abs(ref), (m, k)
+                else:
+                    assert got == 0, (m, k)
+
+    @pytest.mark.parametrize("alpha, beta", [(0, 0), (2, 61), (0, 100)])
+    def test_norms_by_recurrence(self, alpha, beta):
+        params = JacobiParams(alpha, beta)
+        cache = build_jacobi(params, 40)
+        with mp.workprec(768):
+            want = [mpmath.exp(log_norm(params, k)) for k in range(41)]
+        for k in range(41):
+            assert abs(cache.norm(k) - want[k]) <= mpf("1e-74") * want[k], k
 
     def test_build_makes_no_kernel_sums(self, monkeypatch, intro_product):
         def forbidden(*args):

@@ -3,6 +3,7 @@ between two checkouts.
 
     python3 tools/op_parity.py run --seeds 1-40 --out new.json [--root CHECKOUT]
     python3 tools/op_parity.py diff base.json new.json
+    python3 tools/op_parity.py referee base.json new.json --root CHECKOUT
 
 `run` builds every op of the benchmark's `product-stream` workload for each
 seed, runs it through `cli.main` in this process, and checks its output as
@@ -14,14 +15,19 @@ reports.  The ops, the configs and the checks come from the checkout's
 `perfbench/workloads.py` and `perfbench/checks.py`, imported as they are,
 and the program from its `src/`.  Each op's record holds its outcome (ok,
 exit2, exit3, uncaught or wrong), its correct digits where the check gives
-them, and a hash of its report.  Generated configs go to
-`CHECKOUT/.op_parity_work/`.
+them, a hash of its report and, for `zeros`, the roots it reported.
+Generated configs go to `CHECKOUT/.op_parity_work/`.
 
 `diff` pairs the ops of two records by (seed, op id), prints every change of
 outcome, of digits and of report, and exits 1 when an op's outcome gets
 worse, its digits drop by more than MAX_DIGIT_DROP, or a shipped-config
 report with the same outcome differs from the base's beyond tol(2)
 (`checks.diff_reports`).
+
+`referee` reruns every generated `zeros` op that `diff` flags in the
+checkout CHECKOUT at REFEREE_BITS of precision, far above the benchmark's own
+referee at p + 256 bits, and prints the agreement digits of the roots in
+both records against that run.
 """
 
 from __future__ import annotations
@@ -37,6 +43,8 @@ import time
 import traceback
 
 MAX_DIGIT_DROP = 0.5
+# Precision of the `referee` reruns, well above every op's p + 256 bits.
+REFEREE_BITS = 1024
 # Outcomes from best to worst; exit codes 2 and 3 are named failures.
 RANK = {"ok": 0, "exit2": 1, "exit3": 1, "wrong": 2, "uncaught": 3}
 # Shipped-config ops, recorded with seed None: the degrees of each command,
@@ -89,18 +97,19 @@ def run(args) -> int:
                     mp.prec = prec
                 if problems:
                     outcome = "wrong"
-            records.append(
-                {
-                    "seed": seed,
-                    "id": op["id"],
-                    "command": op["command"],
-                    "outcome": outcome,
-                    "digits": digits,
-                    "report_sha256": hashlib.sha256(report.encode()).hexdigest(),
-                    "problems": problems,
-                    "seconds": seconds,
-                }
-            )
+            record = {
+                "seed": seed,
+                "id": op["id"],
+                "command": op["command"],
+                "outcome": outcome,
+                "digits": digits,
+                "report_sha256": hashlib.sha256(report.encode()).hexdigest(),
+                "problems": problems,
+                "seconds": seconds,
+            }
+            if op["command"] == "zeros" and outcome in ("ok", "wrong"):
+                record["roots"] = [[r["re"], r["im"]] for r in json.loads(report)["roots"]]
+            records.append(record)
         done = [r for r in records if r["seed"] == seed]
         print(f"seed {seed}: {sum(r['outcome'] == 'ok' for r in done)}/{len(done)} ok", file=sys.stderr)
     for name in workloads.SHIPPED:
@@ -132,13 +141,20 @@ def run(args) -> int:
     return 0
 
 
+def load(path) -> dict:
+    """The ops of a run record by (seed, op id); shipped-config ops have seed 0."""
+    with open(path, encoding="utf-8") as fh:
+        return {(r["seed"] or 0, r["id"]): r for r in json.load(fh)["ops"]}
+
+
+def digit_drop(b, n) -> bool:
+    """Whether an op with the same outcome lost more than MAX_DIGIT_DROP digits."""
+    return b["digits"] is not None and n["digits"] is not None and b["digits"] - n["digits"] > MAX_DIGIT_DROP
+
+
 def diff(args) -> int:
     sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
     import checks
-
-    def load(path):
-        with open(path, encoding="utf-8") as fh:
-            return {(r["seed"] or 0, r["id"]): r for r in json.load(fh)["ops"]}
 
     base, new = load(args.base), load(args.new)
     worse = 0
@@ -152,9 +168,8 @@ def diff(args) -> int:
             worse += bad
             print(f"{'WORSE' if bad else 'better'}: {where}: {b['outcome']} -> {n['outcome']} {n['problems']}")
         elif b["digits"] is not None and n["digits"] is not None:
-            drop = b["digits"] - n["digits"]
-            largest_drop = max(largest_drop, drop)
-            if drop > MAX_DIGIT_DROP:
+            largest_drop = max(largest_drop, b["digits"] - n["digits"])
+            if digit_drop(b, n):
                 worse += 1
                 print(f"WORSE: {where}: digits {b['digits']:.2f} -> {n['digits']:.2f}")
         elif b.get("report") and n.get("report"):
@@ -174,6 +189,48 @@ def diff(args) -> int:
     return 1 if worse or missing else 0
 
 
+def referee(args) -> int:
+    root = os.path.abspath(args.root)
+    sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
+    import checks
+    import workloads
+    from jacobisobolev.cli import load_config
+    from jacobisobolev.sobolev import build_family, zeros_of
+    from mpmath import mp, mpc, mpf
+
+    base, new = load(args.base), load(args.new)
+    flagged = [
+        key
+        for key in sorted(base.keys() & new.keys())
+        if key[0] and new[key]["command"] == "zeros"
+        and (RANK[new[key]["outcome"]] > RANK[base[key]["outcome"]] or digit_drop(base[key], new[key]))
+    ]
+    work = os.path.join(root, ".op_parity_work")
+    ops = {}
+    prec = mp.prec
+    try:
+        for seed, op_id in flagged:
+            if seed not in ops:
+                ops[seed] = {op["id"]: op for op in workloads.materialise(workloads.STREAM, seed, work)}
+            op = ops[seed][op_id]
+            cfg = load_config(op["config"], n_override=op["n"], precision_override=REFEREE_BITS)
+            ref = [mpc(re, im) for re, im in zeros_of(build_family(cfg["product"], cfg["n"]), cfg["n"]).roots]
+            figures = []
+            for name, record in (("base", base[seed, op_id]), ("new", new[seed, op_id])):
+                if "roots" not in record:
+                    figures.append(f"{name} {record['outcome']}")
+                    continue
+                got = [mpc(mpf(re), mpf(im)) for re, im in record["roots"]]
+                at_bits = checks.agreement_digits(got, checks._match_nearest(got, ref), op["precision"])
+                figures.append(f"{name} {record['digits']:.2f} -> {at_bits:.2f}")
+            where = f"seed {seed} {op_id} ({op['precision']} bits)"
+            print(f"{where}: digits against p + 256 -> against {REFEREE_BITS} bits: " + "; ".join(figures))
+    finally:
+        mp.prec = prec
+    print(f"{len(flagged)} flagged zeros ops refereed at {REFEREE_BITS} bits")
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="action", required=True)
@@ -185,8 +242,12 @@ def main(argv=None) -> int:
     d = sub.add_parser("diff", help="compare two run records")
     d.add_argument("base")
     d.add_argument("new")
+    f = sub.add_parser("referee", help="rerun the flagged zeros ops of two records at high precision")
+    f.add_argument("base")
+    f.add_argument("new")
+    f.add_argument("--root", required=True, help="checkout whose src/ computes the referee (the parent's)")
     args = parser.parse_args(argv)
-    return run(args) if args.action == "run" else diff(args)
+    return {"run": run, "diff": diff, "referee": referee}[args.action](args)
 
 
 if __name__ == "__main__":
