@@ -3,8 +3,10 @@ and the classical first-order ladder (raising/lowering) coefficients.
 
 Conventions: the weight is (1-x)^alpha (1+x)^beta on [-1, 1] with
 alpha, beta > -1, and all polynomials are monic.  The norms come from the
-recurrence: h_0 is the exponential of a sum of log-Gamma terms (log_norm)
-and h_n = gamma2_n h_{n-1}.
+recurrence: h_0 = 2^(alpha+beta+1) Gamma(alpha+1) Gamma(beta+1) /
+Gamma(alpha+beta+2) (norm0) and h_n = gamma2_n h_{n-1}.  gamma2_1 and the
+ladder coefficient b_1 are taken in cancelled form, so alpha + beta = -1
+(Chebyshev of the first kind) needs no special case.
 """
 
 from __future__ import annotations
@@ -47,22 +49,16 @@ def gamma2(params: JacobiParams, n: int) -> mpf:
     """Recurrence coefficient of P_{n-1} in x*P_n; equals h_n / h_{n-1}."""
     a, b = params.alpha, params.beta
     s = 2 * n + a + b
+    if n == 1:
+        # Cancelled (1 + a + b) / (s - 1) factor; 0/0 when alpha + beta = -1.
+        return 4 * (1 + a) * (1 + b) / (s * s * (s + 1))
     return 4 * n * (n + a) * (n + b) * (n + a + b) / (s * s * (s * s - 1))
 
 
-def log_norm(params: JacobiParams, n: int) -> mpf:
-    """log of h_n = ||P_n||^2, via log-Gamma accumulation."""
+def norm0(params: JacobiParams) -> mpf:
+    """h_0 = ||1||^2 = 2^(alpha+beta+1) B(alpha+1, beta+1)."""
     a, b = params.alpha, params.beta
-    lg = mpmath.loggamma
-    return (
-        (2 * n + a + b + 1) * mpmath.log(2)
-        + lg(n + 1)
-        + lg(n + a + 1)
-        + lg(n + b + 1)
-        + lg(n + a + b + 1)
-        - lg(2 * n + a + b + 2)
-        - lg(2 * n + a + b + 1)
-    )
+    return mpmath.power(2, a + b + 1) * mpmath.gamma(a + 1) * mpmath.gamma(b + 1) / mpmath.gamma(a + b + 2)
 
 
 @dataclass
@@ -85,7 +81,7 @@ class JacobiCache:
         while self.top < n:
             k = self.top + 1
             if k == 0:
-                self.norms.append(mpmath.exp(log_norm(self.params, 0)))
+                self.norms.append(norm0(self.params))
                 self.gamma2s.append(mpf(0))
             else:
                 g2 = gamma2(self.params, k)
@@ -146,7 +142,11 @@ def ladder_coeffs(params: JacobiParams, n: int):
         c_poly = Poly((a - b, a + b))  # cancelled (n+a+b)/(2n+a+b) factor
     else:
         a_poly = Poly((b - a, s)) * (-mpf(n) / s)
-        b_coef = 4 * n * (n + a) * (n + b) * (n + a + b) / (s * s * (s - 1))
+        if n == 1:
+            # Cancelled (1 + a + b) / (s - 1) factor, as in gamma2.
+            b_coef = 4 * (1 + a) * (1 + b) / (s * s)
+        else:
+            b_coef = 4 * n * (n + a) * (n + b) * (n + a + b) / (s * s * (s - 1))
         c_poly = Poly((a - b, s)) * ((n + a + b) / s)
     d_coef = -(s - 1)
     return a_poly, b_coef, c_poly, d_coef

@@ -48,7 +48,8 @@ class DegenerateInput(NumKernelError):
 
 
 class SingularSystem(NumKernelError):
-    """Linear system with a pivot below the singularity threshold."""
+    """solve_dense was given a matrix that is not positive definite: its
+    Cholesky factorisation met a pivot that is not strictly positive."""
 
 
 class EigenFailure(NumKernelError):
@@ -268,52 +269,49 @@ def sym_eigen(M: mpmath.matrix) -> list:
         raise EigenFailure(str(exc)) from exc
 
 
+def _cholesky(M: Sequence[Sequence]):
+    """Rows of the lower Cholesky factor of the symmetric M, given as a list
+    of rows, or None where a pivot is not strictly positive.  Each inner
+    product is summed exactly by mpmath.fdot and then rounded.
+    (mpmath.cholesky instead rejects every pivot below an absolute epsilon.)"""
+    n = len(M)
+    L = [[mpf(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            s = M[i][j] - mpmath.fdot(L[i][:j], L[j][:j])
+            if i == j:
+                if s <= 0:
+                    return None
+                L[i][i] = mpmath.sqrt(s)
+            else:
+                L[i][j] = s / L[j][j]
+    return L
+
+
 def solve_dense(A: Sequence[Sequence], b: Sequence) -> list:
-    """Solve A x = b by Gaussian elimination with partial pivoting."""
+    """Solve A x = b for a symmetric positive definite A, given as a list of
+    rows, by one Cholesky factorisation and two triangular solves.  Raises
+    SingularSystem when A is not positive definite.  No threshold scaled to
+    the entries is involved, so a badly scaled A is solved as it stands."""
     n = len(A)
     if any(len(row) != n for row in A) or len(b) != n:
         raise ValueError("dimension mismatch")
-    M = [[mpf(v) for v in row] + [mpf(b[i])] for i, row in enumerate(A)]
-    scale = max((abs(v) for row in M for v in row), default=mpf(0))
-    pivot_floor = tol(2) * max(scale, mpf(1))
-    for col in range(n):
-        piv = max(range(col, n), key=lambda r: abs(M[r][col]))
-        if abs(M[piv][col]) <= pivot_floor:
-            raise SingularSystem(f"pivot below threshold at column {col}")
-        M[col], M[piv] = M[piv], M[col]
-        for r in range(col + 1, n):
-            f = M[r][col] / M[col][col]
-            if f == 0:
-                continue
-            for c in range(col, n + 1):
-                M[r][c] -= f * M[col][c]
+    L = _cholesky(A)
+    if L is None:
+        raise SingularSystem("matrix is not positive definite")
+    y = []
+    for i, row in enumerate(L):
+        y.append((b[i] - mpmath.fdot(row[:i], y)) / row[i])
     x = [mpf(0)] * n
-    for r in range(n - 1, -1, -1):
-        acc = M[r][n]
-        for c in range(r + 1, n):
-            acc -= M[r][c] * x[c]
-        x[r] = acc / M[r][r]
+    for i in reversed(range(n)):
+        x[i] = (y[i] - mpmath.fdot((L[k][i], x[k]) for k in range(i + 1, n))) / L[i][i]
     return x
 
 
 def cholesky_pd(M: Sequence[Sequence]) -> bool:
     """True iff the symmetric M, given as a list of rows, admits a Cholesky
-    factorization with strictly positive pivots.  (mpmath.cholesky instead
-    rejects every pivot below an absolute epsilon.)"""
-    n = len(M)
-    L = [[mpf(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1):
-            s = M[i][j]
-            for k in range(j):
-                s -= L[i][k] * L[j][k]
-            if i == j:
-                if s <= 0:
-                    return False
-                L[i][i] = mpmath.sqrt(s)
-            else:
-                L[i][j] = s / L[j][j]
-    return True
+    factorization with strictly positive pivots."""
+    return _cholesky(M) is not None
 
 
 def poly_roots(p: Poly) -> list:

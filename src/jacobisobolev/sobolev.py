@@ -14,10 +14,10 @@ from dataclasses import dataclass, field
 from itertools import groupby
 
 import mpmath
-from mpmath import mp, mpf
+from mpmath import fdot, mp, mpf
 
 from .jacobi import JacobiCache, JacobiParams, build_jacobi
-from .numkernel import Poly, SingularSystem, cholesky_pd, series_roots, solve_dense, tol
+from .numkernel import Poly, SingularSystem, series_roots, solve_dense, tol
 
 class SobolevError(Exception):
     pass
@@ -28,7 +28,9 @@ class InvalidMassPoint(SobolevError):
 
 
 class InternalContradiction(SobolevError):
-    """The kernel linear system was singular, which the theory rules out."""
+    """A degree step contradicted the theory: L^-1 + K_{m-1}(C, C), a Gram
+    matrix plus a positive diagonal, failed its Cholesky factorisation, or a
+    solved derivative vector or Jacobi row failed its identity check."""
 
 
 @dataclass(frozen=True)
@@ -168,11 +170,6 @@ def inner_sobolev(f: Poly, g: Poly, product: SobolevProduct, cache: JacobiCache)
     return acc
 
 
-def _dot(u, v) -> mpf:
-    """sum_i u_i v_i, accumulated left to right."""
-    return sum((a * b for a, b in zip(u, v)), mpf(0))
-
-
 def _check_tol(sder) -> mpf:
     """The threshold of the derivative-vector checks: tol(3) relative to the
     largest |s_i|, and absolute below 1."""
@@ -213,24 +210,38 @@ class SobolevFamily:
     |c| >= 1 and so runs forward stably (Gautschi, SIAM Review 9, 1967).
     v_nu is its restriction to the active pairs.  ``kernel`` holds the rows of
     K_top(C, C) = sum_{nu<=top} v_nu v_nu^T / h_nu, one term added per
-    degree, and the derivative vector s_m of S_m solves
-    (I + K_{m-1} L) s_m = v_m.  S_m = sum_nu a_nu P_nu with a_m = 1 and
-    a_nu = -(lambda o s_m) . v_nu / h_nu; jacobi_coeffs builds that row and
+    degree.  The derivative vector s_m of S_m solves (I + K_{m-1} L) s_m = v_m,
+    that is (L^-1 + K_{m-1}) w_m = v_m with w_m = L s_m: a Gram matrix plus a
+    positive diagonal, so one Cholesky factorisation per degree solves it,
+    and a failed one is an InternalContradiction.  S_m = sum_nu a_nu P_nu with
+    a_m = 1 and a_nu = -w_m . v_nu / h_nu; jacobi_coeffs builds that row and
     poly the monomial form only when asked.  ``memo`` holds the results of
     zeros and of the ladder layer's build_ladder and connection_level per
-    (kind, n, working precision)."""
+    (kind, n, working precision).
+
+    Precision.  ``prec`` is the working precision p at construction.  The
+    JacobiCache stays at p.  The table, the kernel, the solve, its residual
+    check and the Jacobi rows with their check run at 2p, since K grows with
+    the distance of the mass points from [-1, 1] and the solve loses up to
+    log2 of its condition number.  deriv_vector, values and lambda_forms are
+    handed out rounded to p.  The Jacobi rows stay at 2p: the zeros and
+    zeros_of read them through FixedPointSeries, which takes its inputs
+    unrounded."""
 
     product: SobolevProduct
     jacobi_cache: JacobiCache
-    deriv_vectors: list = field(default_factory=list)
+    prec: int = field(init=False)
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     table: list = field(default_factory=list, init=False, repr=False, compare=False)
+    deriv_vectors: list = field(default_factory=list, init=False, repr=False, compare=False)
+    weights: list = field(default_factory=list, init=False, repr=False, compare=False)
     jacobi_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     sob_polys: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     lambda_forms: list = field(default_factory=list, init=False, repr=False, compare=False)
     kernel: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self.prec = mp.prec
         dstar = self.product.d_star
         self.kernel = [[mpf(0)] * dstar for _ in range(dstar)]
 
@@ -238,36 +249,44 @@ class SobolevFamily:
     def top(self) -> int:
         return len(self.deriv_vectors) - 1
 
+    def _rounded(self, values: list) -> list:
+        """A copy of values rounded to the family's precision p."""
+        with mp.workprec(self.prec):
+            return [+v for v in values]
+
     def deriv_vector(self, m: int) -> list:
         self.extend(m)
-        return self.deriv_vectors[m]
+        return self._rounded(self.deriv_vectors[m])
 
     def values(self, m: int) -> list:
         """Per mass point c_j, the list P_m^(k)(c_j) for k = 0..d_j."""
         self.extend(m)
-        return self.table[m]
+        return [self._rounded(row) for row in self.table[m]]
 
     def jacobi_coeffs(self, m: int) -> list:
-        """a_0..a_m with S_m = sum_nu a_nu P_nu, built on first use and
+        """a_0..a_m with S_m = sum_nu a_nu P_nu at 2p, built on first use and
         checked against the derivative vector: sum_nu a_nu v_nu = s_m."""
         self.extend(m)
         if m not in self.jacobi_rows:
-            cache = self.jacobi_cache
-            pairs = self.product.active_pairs
-            sder = self.deriv_vectors[m]
-            weights = [lam * sval for (_, _, lam), sval in zip(pairs, sder)]
-            values = [self._on_pairs(nu) for nu in range(m + 1)]
-            row = [-_dot(weights, v) / cache.norm(nu) for nu, v in enumerate(values[:m])]
-            row.append(mpf(1))
-            check_tol = _check_tol(sder)
-            for i, ((j, k, _), sval) in enumerate(zip(pairs, sder)):
-                direct = _dot(row, [v[i] for v in values])
-                if abs(direct - sval) > check_tol:
-                    raise InternalContradiction(
-                        f"Jacobi row of S_{m} off the derivative vector at pair ({j},{k}): {direct} vs {sval}"
-                    )
-            self.jacobi_rows[m] = row
+            with mp.workprec(2 * self.prec):
+                self.jacobi_rows[m] = self._jacobi_row(m)
         return self.jacobi_rows[m]
+
+    def _jacobi_row(self, m: int) -> list:
+        cache = self.jacobi_cache
+        pairs = self.product.active_pairs
+        sder, weights = self.deriv_vectors[m], self.weights[m]
+        values = [self._on_pairs(nu) for nu in range(m + 1)]
+        row = [-fdot(weights, v) / cache.norm(nu) for nu, v in enumerate(values[:m])]
+        row.append(mpf(1))
+        check_tol = _check_tol(sder)
+        for i, ((j, k, _), sval) in enumerate(zip(pairs, sder)):
+            direct = fdot(row, [v[i] for v in values])
+            if abs(direct - sval) > check_tol:
+                raise InternalContradiction(
+                    f"Jacobi row of S_{m} off the derivative vector at pair ({j},{k}): {direct} vs {sval}"
+                )
+        return row
 
     def poly(self, m: int) -> Poly:
         """S_m in monomial form, summed from its Jacobi coefficients on first
@@ -335,49 +354,42 @@ class SobolevFamily:
 
     def _build_next(self) -> None:
         m = self.top + 1
-        product = self.product
-        pairs = product.active_pairs
-        dstar = len(pairs)
         self.jacobi_cache.extend(m)
+        with mp.workprec(2 * self.prec):
+            self._degree_step(m)
+
+    def _degree_step(self, m: int) -> None:
+        pairs = self.product.active_pairs
+        dstar = len(pairs)
         self.table.append(self._next_table_row(m))
         vm = self._on_pairs(m)
         kmat = self.kernel  # K_{m-1}(C, C) over the active pairs
 
-        # Positive-definiteness of L^{-1} + K backs nonsingularity of I + K L.
-        if m >= product.d:
-            shifted = [
-                [kmat[i][j] + (1 / pairs[i][2] if i == j else 0) for j in range(dstar)]
-                for i in range(dstar)
-            ]
-            if not cholesky_pd(shifted):
-                raise InternalContradiction(
-                    f"L^-1 + K_{m - 1}(C,C) failed the positive-definiteness check"
-                )
-
-        A = [
-            [kmat[i][j] * pairs[j][2] + (1 if i == j else 0) for j in range(dstar)]
-            for i in range(dstar)
-        ]
+        shifted = [list(row) for row in kmat]
+        for i, (_, _, lam) in enumerate(pairs):
+            shifted[i][i] += 1 / lam
         try:
-            sder = solve_dense(A, vm)
+            weights = solve_dense(shifted, vm)
         except SingularSystem as exc:  # theoretically impossible for valid products
-            raise InternalContradiction(str(exc)) from exc
+            raise InternalContradiction(f"L^-1 + K_{m - 1}(C,C): {exc}") from exc
+        sder = [w / lam for (_, _, lam), w in zip(pairs, weights)]
 
         # Consistency: the solved derivative vector satisfies s + K L s = v_m,
         # the identity S_m^(k)(c_j) = s_m that its Jacobi row is checked by.
-        weights = [lam * sval for (_, _, lam), sval in zip(pairs, sder)]
         check_tol = _check_tol(sder)
         for i, ((j, k, _), sval) in enumerate(zip(pairs, sder)):
-            resid = sval + _dot(kmat[i], weights) - vm[i]
+            resid = sval + fdot(kmat[i], weights) - vm[i]
             if abs(resid) > check_tol:
                 raise InternalContradiction(f"kernel system residual {resid} at pair ({j},{k})")
 
         self.deriv_vectors.append(sder)
-        self.lambda_forms.append(_dot(weights, vm))
+        self.weights.append(weights)
+        self.lambda_forms.append(self._rounded([fdot(weights, vm)])[0])
         hm = self.jacobi_cache.norm(m)
         for i in range(dstar):
-            for j in range(dstar):
+            for j in range(i + 1):
                 kmat[i][j] += vm[i] * vm[j] / hm
+                kmat[j][i] = kmat[i][j]
 
 
 def build_family(product: SobolevProduct, n: int) -> SobolevFamily:

@@ -1,8 +1,8 @@
 """The paper's identities as referees for the library.
 
 None of these is on a path that the CLI runs: each restates a result of
-the theory (Taylor polynomials of a monomial form, the closed
-Christoffel-Darboux kernel, Cramer recovery of P_n,
+the theory (the Jacobi norms by log-Gamma sums, Taylor polynomials of a
+monomial form, the closed Christoffel-Darboux kernel, Cramer recovery of P_n,
 the n-fold raising product, the Lambda law for the leading coefficient of
 Delta, quasi-orthogonality, P_n(1) in closed form, the logarithmic energy)
 so that a test can hold the library's construction against it.
@@ -24,6 +24,21 @@ CD_SEPARATION = mpf("1e-8")
 
 class NotApplicable(SobolevError):
     pass
+
+
+def log_norm(params: JacobiParams, n: int) -> mpf:
+    """log of h_n = ||P_n||^2, via log-Gamma accumulation."""
+    a, b = params.alpha, params.beta
+    lg = mpmath.loggamma
+    return (
+        (2 * n + a + b + 1) * mpmath.log(2)
+        + lg(n + 1)
+        + lg(n + a + 1)
+        + lg(n + b + 1)
+        + lg(n + a + b + 1)
+        - lg(2 * n + a + b + 2)
+        - lg(2 * n + a + b + 1)
+    )
 
 
 def taylor_poly(f: Poly, y, k: int) -> Poly:

@@ -369,6 +369,23 @@ class TestExitCodes:
             with open(out, encoding="utf-8") as fh:
                 assert json.load(fh)["all_passed"]
 
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_chebyshev_first_kind_runs(self, command, tmp_path):
+        # alpha + beta = -1 makes h_0 by log-Gamma, gamma2_1 and b_1 0/0.
+        doc = dict(SADDLE_CONFIG, alpha="-0.5", beta="-0.5", n=8)
+        out = str(tmp_path / "out.json")
+        assert main([command, "--config", write_config(tmp_path, doc), "--out", out]) == 0
+        if command == "verify":
+            with open(out, encoding="utf-8") as fh:
+                assert json.load(fh)["all_passed"]
+
+    @pytest.mark.parametrize("command", ["zeros", "ode", "verify"])
+    def test_far_mixed_orders_at_128_bits(self, command, tmp_path):
+        # A pivot floor scaled to the largest entry of I + K L refused these.
+        path = os.path.join(CONFIG_DIR, "two_points_mixed_orders.json")
+        out = str(tmp_path / "out.json")
+        assert main([command, "--config", path, "--n", "24", "--precision", "128", "--out", out]) == 0
+
     @pytest.mark.parametrize(
         "command,config,bits",
         [("electro", "two_points_mixed_orders", 256)],

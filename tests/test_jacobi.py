@@ -12,11 +12,10 @@ from jacobisobolev.jacobi import (
     gamma1,
     gamma2,
     ladder_coeffs,
-    log_norm,
     raise_over_gamma2,
 )
 from jacobisobolev.numkernel import Poly, series_values, sym_eigen, tol
-from oracles import jacobi_at_one
+from oracles import jacobi_at_one, log_norm
 
 PARAM_SETS = [(0, 0), (0, 100), (0, 110), (mpf("0.5"), mpf("-0.3")), (2, 3)]
 
@@ -124,11 +123,20 @@ class TestNorms:
             )
             assert abs(cache.norm(n) - val) <= mpf("1e-40") * val
 
+    def test_chebyshev_first_kind_norms(self):
+        # alpha = beta = -1/2: monic T_n has h_0 = pi and h_n = pi / 2^(2n-1).
+        cache = build_jacobi(JacobiParams(mpf("-0.5"), mpf("-0.5")), 12)
+        for n in range(13):
+            want = mpmath.pi if n == 0 else mpmath.pi / mpf(2) ** (2 * n - 1)
+            assert abs(cache.norm(n) - want) <= tol(2) * want, n
+
     def test_extreme_beta_norm_finite(self):
-        # beta = 110 gives h_0 = 2^111/111 ~ 2e31; log-Gamma keeps it exact.
+        # beta = 110 gives h_0 = 2^111/111 ~ 2e31; the closed form and the
+        # log-Gamma sum both keep it exact.
         params = JacobiParams(0, 110)
-        h0 = mpmath.exp(log_norm(params, 0))
-        assert abs(h0 - mpmath.power(2, 111) / 111) <= mpf("1e-45") * h0
+        want = mpmath.power(2, 111) / 111
+        for h0 in (build_jacobi(params, 0).norm(0), mpmath.exp(log_norm(params, 0))):
+            assert abs(h0 - want) <= mpf("1e-45") * want
 
 
 class TestPointValues:

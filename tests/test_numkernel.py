@@ -297,6 +297,18 @@ class TestLinearAlgebra:
         with pytest.raises(SingularSystem):
             solve_dense([[1, 2], [2, 4]], [1, 2])
 
+    def test_solve_badly_scaled_spd(self):
+        # A pivot floor scaled to the largest entry called diag(1, 1e-30)
+        # singular at 128 bits; the Cholesky solve has no such floor.
+        with mp.workprec(128):
+            x = solve_dense([[1, 0], [0, mpf("1e-30")]], [2, mpf("3e-30")])
+            assert abs(x[0] - 2) <= tol(2) and abs(x[1] - 3) <= tol(2) * 3
+
+    def test_solve_indefinite_raises(self):
+        # Symmetric and nonsingular, but not positive definite.
+        with pytest.raises(SingularSystem):
+            solve_dense([[1, 2], [2, 1]], [1, 1])
+
     def test_cholesky_pd(self):
         assert cholesky_pd([[mpf(2), mpf(1)], [mpf(1), mpf(2)]])
         assert not cholesky_pd([[mpf(1), mpf(2)], [mpf(2), mpf(1)]])

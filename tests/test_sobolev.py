@@ -6,10 +6,12 @@ from itertools import permutations
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
 from jacobisobolev import numkernel, sobolev
-from jacobisobolev.jacobi import JacobiParams, build_jacobi, log_norm
+from jacobisobolev.jacobi import JacobiParams, build_jacobi
 from jacobisobolev.numkernel import Poly, RootFailure, tol
 from jacobisobolev.sobolev import (
     InvalidMassPoint,
@@ -23,7 +25,7 @@ from jacobisobolev.sobolev import (
     kernel_poly_dk,
     zeros_of,
 )
-from oracles import NotApplicable, kernel_dk_closed, quasi_orthogonality_check
+from oracles import NotApplicable, kernel_dk_closed, log_norm, quasi_orthogonality_check
 
 
 def gram_schmidt_oracle(product, n):
@@ -339,6 +341,59 @@ class TestJacobiTable:
             sm = family.poly(m)
             want = inner_sobolev(sm, sm, family.product, family.jacobi_cache)
             assert abs(family.sobolev_norm_sq(m) - want) <= tol(3) * want, m
+
+
+@st.composite
+def far_mass_products(draw):
+    """(product, n): up to 4 mass points with 1 <= |c| <= 4 and orders
+    <= 2, d* <= 8, beta in [0, 120] and n <= 28."""
+    locations = draw(st.lists(st.integers(100, 400), min_size=1, max_size=4, unique=True))
+    points, budget = [], 8
+    for i, hundredths in enumerate(locations):
+        sign = draw(st.sampled_from([1, -1]))
+        rest = len(locations) - 1 - i  # points still to come, one pair each at least
+        orders = draw(st.lists(st.integers(0, 2), min_size=1, max_size=min(3, budget - rest), unique=True))
+        budget -= len(orders)
+        terms = [(k, draw(st.sampled_from(["0.5", "1", "3"]))) for k in orders]
+        points.append(MassPoint(sign * mpf(hundredths) / 100, terms))
+    params = JacobiParams(mpf(draw(st.sampled_from(["0", "0.5", "2"]))), draw(st.integers(0, 120)))
+    return SobolevProduct(params, points), draw(st.integers(1, 28))
+
+
+class TestKernelSolve:
+    def test_far_order_zero_masses_at_128_bits(self):
+        # K_{m-1}(C, C) has an entry near 1e37 from the mass at c = 4; a pivot
+        # floor scaled to it called I + K L singular here.
+        product = SobolevProduct(
+            JacobiParams(mpf("0.5"), 90), [MassPoint(4, [(0, 1)]), MassPoint(mpf("1.25"), [(0, 1)])]
+        )
+        with mp.workprec(640):
+            want = build_family(product, 28).jacobi_coeffs(28)
+        with mp.workprec(128):
+            got = build_family(product, 28).jacobi_coeffs(28)
+            for nu, (a, b) in enumerate(zip(got, want)):
+                assert abs(a - b) <= tol(2) * max(1, abs(b)), nu
+
+    def test_one_factorisation_per_degree(self, monkeypatch, ex2_product):
+        factor = numkernel._cholesky
+        calls = []
+        monkeypatch.setattr(numkernel, "_cholesky", lambda M: calls.append(len(M)) or factor(M))
+        build_family(ex2_product, 12)
+        assert calls == [ex2_product.d_star] * 13
+
+    @given(far_mass_products())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_no_contradiction_and_guard_bits_suffice(self, case):
+        # L^-1 + K is positive definite for every valid product, so no
+        # degree step may raise InternalContradiction; the row at 128 bits
+        # agrees with the one at 256.
+        product, n = case
+        with mp.workprec(256):
+            want = build_family(product, n).jacobi_coeffs(n)
+        with mp.workprec(128):
+            got = build_family(product, n).jacobi_coeffs(n)
+            for nu, (a, b) in enumerate(zip(got, want)):
+                assert abs(a - b) <= tol(2) * max(1, abs(b)), nu
 
 
 class TestSequentialOrdering:

@@ -24,10 +24,12 @@ worse, its digits drop by more than MAX_DIGIT_DROP, or a shipped-config
 report with the same outcome differs from the base's beyond tol(2)
 (`checks.diff_reports`).
 
-`referee` reruns every generated `zeros` op that `diff` flags in the
-checkout CHECKOUT at REFEREE_BITS of precision, far above the benchmark's own
-referee at p + 256 bits, and prints the agreement digits of the roots in
-both records against that run.
+`referee` reruns every generated `zeros` op that `diff` flags, and every
+one whose outcome moved to ok, in the checkout CHECKOUT at REFEREE_BITS of
+precision, far above the benchmark's own referee at p + 256 bits, and prints
+the agreement digits of the roots in both records against that run.  With
+the parent as CHECKOUT, a newly ok op is refereed by code that shares none
+of the change.
 """
 
 from __future__ import annotations
@@ -147,6 +149,13 @@ def load(path) -> dict:
         return {(r["seed"] or 0, r["id"]): r for r in json.load(fh)["ops"]}
 
 
+def refereed(b, n) -> bool:
+    """Whether `referee` reruns a generated zeros op: its outcome got worse
+    or moved to ok, or it lost more than MAX_DIGIT_DROP digits."""
+    moved = n["outcome"] != b["outcome"] and (RANK[n["outcome"]] > RANK[b["outcome"]] or n["outcome"] == "ok")
+    return n["command"] == "zeros" and (moved or digit_drop(b, n))
+
+
 def digit_drop(b, n) -> bool:
     """Whether an op with the same outcome lost more than MAX_DIGIT_DROP digits."""
     return b["digits"] is not None and n["digits"] is not None and b["digits"] - n["digits"] > MAX_DIGIT_DROP
@@ -199,12 +208,7 @@ def referee(args) -> int:
     from mpmath import mp, mpc, mpf
 
     base, new = load(args.base), load(args.new)
-    flagged = [
-        key
-        for key in sorted(base.keys() & new.keys())
-        if key[0] and new[key]["command"] == "zeros"
-        and (RANK[new[key]["outcome"]] > RANK[base[key]["outcome"]] or digit_drop(base[key], new[key]))
-    ]
+    flagged = [key for key in sorted(base.keys() & new.keys()) if key[0] and refereed(base[key], new[key])]
     work = os.path.join(root, ".op_parity_work")
     ops = {}
     prec = mp.prec
@@ -222,12 +226,13 @@ def referee(args) -> int:
                     continue
                 got = [mpc(mpf(re), mpf(im)) for re, im in record["roots"]]
                 at_bits = checks.agreement_digits(got, checks._match_nearest(got, ref), op["precision"])
-                figures.append(f"{name} {record['digits']:.2f} -> {at_bits:.2f}")
+                digits = "-" if record["digits"] is None else f"{record['digits']:.2f}"
+                figures.append(f"{name} {record['outcome']} {digits} -> {at_bits:.2f}")
             where = f"seed {seed} {op_id} ({op['precision']} bits)"
             print(f"{where}: digits against p + 256 -> against {REFEREE_BITS} bits: " + "; ".join(figures))
     finally:
         mp.prec = prec
-    print(f"{len(flagged)} flagged zeros ops refereed at {REFEREE_BITS} bits")
+    print(f"{len(flagged)} flagged or newly ok zeros ops refereed at {REFEREE_BITS} bits")
     return 0
 
 
@@ -242,7 +247,7 @@ def main(argv=None) -> int:
     d = sub.add_parser("diff", help="compare two run records")
     d.add_argument("base")
     d.add_argument("new")
-    f = sub.add_parser("referee", help="rerun the flagged zeros ops of two records at high precision")
+    f = sub.add_parser("referee", help="rerun the flagged and newly ok zeros ops of two records at high precision")
     f.add_argument("base")
     f.add_argument("new")
     f.add_argument("--root", required=True, help="checkout whose src/ computes the referee (the parent's)")
