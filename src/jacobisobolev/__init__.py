@@ -17,7 +17,7 @@ from .ladder import (
     ode_residual,
     recurrence_residual,
 )
-from .numkernel import NumKernelError, Poly, precision_digits, set_precision, tol
+from .numkernel import NumKernelError, Poly, precision_digits, tol
 from .sobolev import (
     MassPoint,
     SobolevError,
@@ -55,7 +55,6 @@ __all__ = [
     "ode_residual",
     "precision_digits",
     "recurrence_residual",
-    "set_precision",
     "tol",
     "zeros_of",
 ]

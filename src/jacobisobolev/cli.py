@@ -31,7 +31,7 @@ from .ladder import (
     ode_residual,
     recurrence_residual,
 )
-from .numkernel import NumKernelError, precision_digits, set_precision, tol
+from .numkernel import NumKernelError, precision_digits, tol
 from .sobolev import (
     MassPoint,
     SobolevError,
@@ -79,7 +79,12 @@ def _is_int(val) -> bool:
 
 
 def load_config(path: str, n_override=None, precision_override=None) -> dict:
-    """Parse, validate, and normalize a run configuration file."""
+    """Parse, validate, and normalize a run configuration file.
+
+    Sets the process-wide working precision ``mp.prec`` to the configured
+    bits, before the decimals are parsed, and leaves it there: callers that
+    run library functions on the result outside ``main`` (the benchmark's
+    output checks) rely on it.  ``main`` restores its caller's precision."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -93,7 +98,7 @@ def load_config(path: str, n_override=None, precision_override=None) -> dict:
     bits = precision_override if precision_override is not None else raw.get("precision_bits", 256)
     if not _is_int(bits) or bits < 53:
         raise ConfigError(f"precision_bits: need an integer >= 53 (config or --precision), got {bits!r}")
-    set_precision(bits)
+    mp.prec = bits
 
     alpha = _decimal(raw, "alpha", "config")
     beta = _decimal(raw, "beta", "config")

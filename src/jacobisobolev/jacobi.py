@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import mpmath
-from mpmath import mpf
+from mpmath import mp, mpf
 
 from .numkernel import FixedPointSeries, Poly
 
@@ -65,42 +65,57 @@ def norm0(params: JacobiParams) -> mpf:
 class JacobiCache:
     """Monic Jacobi recurrence coefficients and norms through a requested
     degree, grown append-only.  The monomial form of P_k is built the first
-    time poly(k) asks for it."""
+    time poly(k) asks for it.
+
+    Everything the cache stores is computed at ``prec``, the working
+    precision at construction, whatever the precision of the call that grows
+    it; SobolevFamily builds its cache inside its guard, at twice the working
+    precision."""
 
     params: JacobiParams
+    prec: int = field(init=False)
     norms: list = field(default_factory=list)
     gamma1s: list = field(default_factory=list)
     gamma2s: list = field(default_factory=list)
     polys: list = field(default_factory=list)
+
+    def __post_init__(self):
+        self.prec = mp.prec
 
     @property
     def top(self) -> int:
         return len(self.norms) - 1
 
     def extend(self, n: int) -> None:
-        while self.top < n:
-            k = self.top + 1
-            if k == 0:
-                self.norms.append(norm0(self.params))
-                self.gamma2s.append(mpf(0))
-            else:
-                g2 = gamma2(self.params, k)
-                self.norms.append(g2 * self.norms[k - 1])
-                self.gamma2s.append(g2)
-            self.gamma1s.append(gamma1(self.params, k))
+        if self.top >= n:
+            return
+        with mp.workprec(self.prec):
+            while self.top < n:
+                k = self.top + 1
+                if k == 0:
+                    self.norms.append(norm0(self.params))
+                    self.gamma2s.append(mpf(0))
+                else:
+                    g2 = gamma2(self.params, k)
+                    self.norms.append(g2 * self.norms[k - 1])
+                    self.gamma2s.append(g2)
+                self.gamma1s.append(gamma1(self.params, k))
 
     def poly(self, k: int) -> Poly:
         self.extend(k)
         polys = self.polys
-        while len(polys) <= k:
-            j = len(polys)
-            if j == 0:
-                p = Poly.one()
-            else:
-                p = Poly.x() * polys[j - 1] - self.gamma1s[j - 1] * polys[j - 1]
-                if j >= 2:
-                    p = p - self.gamma2s[j - 1] * polys[j - 2]
-            polys.append(p)
+        if len(polys) > k:
+            return polys[k]
+        with mp.workprec(self.prec):
+            while len(polys) <= k:
+                j = len(polys)
+                if j == 0:
+                    p = Poly.one()
+                else:
+                    p = Poly.x() * polys[j - 1] - self.gamma1s[j - 1] * polys[j - 1]
+                    if j >= 2:
+                        p = p - self.gamma2s[j - 1] * polys[j - 2]
+                polys.append(p)
         return polys[k]
 
     def norm(self, k: int) -> mpf:

@@ -86,28 +86,29 @@ def connection_level(family: SobolevFamily, m: int):
     """(A2, B2, A3, B3) at family level m: the numerators over rho of the
     connection coefficients F_{1,m}, G_{1,m} with
     S_m = F_{1,m} P_m + G_{1,m} P_{m-1}, and of its derivative form
-    (1-x^2)(rho S_m)' = A3 P_m + B3 P_{m-1}.  Memoised on the family per
-    (m, working precision)."""
+    (1-x^2)(rho S_m)' = A3 P_m + B3 P_{m-1}.  Computed inside the family's
+    guard and memoised on the family per (m, working precision)."""
     return family.memoised("conn", m, lambda: _connection_level(family, m))
 
 
 def _connection_level(family: SobolevFamily, m: int):
-    sder = family.deriv_vector(m)
+    family.extend(m)
     product, cache = family.product, family.jacobi_cache
-    a2, b2 = product.rho(), Poly.zero()
-    if m > 0:
-        hm1 = cache.norm(m - 1)
-        prev, cur = family.values(m - 1), family.values(m)
-        for (j, k, lam), sval in zip(product.active_pairs, sder):
-            c = product.points[j].c
-            coef = mpmath.factorial(k) * lam * sval / hm1
-            rjk = product.rho_jk(j, k)
-            a2 = a2 - coef * (_taylor(prev[j], c, k) * rjk)
-            b2 = b2 + coef * (_taylor(cur[j], c, k) * rjk)
-    a_hat, b_hat, c_hat, d_hat = ladder_coeffs(product.jacobi, m)
-    one_minus_x2 = Poly((1, 0, -1))
-    a3 = a2.deriv() * one_minus_x2 + a_hat * a2 + d_hat * b2
-    b3 = b2.deriv() * one_minus_x2 + b_hat * a2 + c_hat * b2
+    with family.guard():
+        a2, b2 = product.rho(), Poly.zero()
+        if m > 0:
+            hm1 = cache.norm(m - 1)
+            prev, cur = family.table[m - 1], family.table[m]
+            for (j, k, lam), sval in zip(product.active_pairs, family.deriv_vectors[m]):
+                c = product.points[j].c
+                coef = mpmath.factorial(k) * lam * sval / hm1
+                rjk = product.rho_jk(j, k)
+                a2 = a2 - coef * (_taylor(prev[j], c, k) * rjk)
+                b2 = b2 + coef * (_taylor(cur[j], c, k) * rjk)
+        a_hat, b_hat, c_hat, d_hat = ladder_coeffs(product.jacobi, m)
+        one_minus_x2 = Poly((1, 0, -1))
+        a3 = a2.deriv() * one_minus_x2 + a_hat * a2 + d_hat * b2
+        b3 = b2.deriv() * one_minus_x2 + b_hat * a2 + c_hat * b2
     return a2, b2, a3, b3
 
 
@@ -123,8 +124,10 @@ def build_ladder(family: SobolevFamily, n: int) -> LadderData:
 
     Index 1 uses the continuous limit of the C/D formulas, since the
     generic expressions divide by gamma2_0 = 0 against vanishing numerators.
-    The bundle is memoised on the family per (n, working precision), so a
-    repeat call returns the same object.
+    The bundle is computed inside the family's guard and its identity
+    checks read thresholds at the working precision.  It is memoised on the
+    family per (n, working precision), so a repeat call returns the same
+    object.
     """
     if n < 1:
         raise ValueError("ladder data needs n >= 1")
@@ -132,118 +135,120 @@ def build_ladder(family: SobolevFamily, n: int) -> LadderData:
 
 
 def _build_ladder(family: SobolevFamily, n: int) -> LadderData:
-    family.extend(n)
-    product = family.product
-    cache = family.jacobi_cache
-    d = product.d
-
-    a2n, b2n, a3n, b3n = connection_level(family, n)
-    a2p, b2p, a3p, b3p = connection_level(family, n - 1)
-
-    if n >= 2:
-        g1 = cache.gamma1s[n - 1]
-        g2 = cache.gamma2s[n - 1]
-        shift = Poly((-g1, 1))
-        c2 = -(1 / g2) * b2p
-        d2 = a2p + (1 / g2) * (shift * b2p)
-        c3 = -(1 / g2) * b3p
-        d3 = a3p + (1 / g2) * (shift * b3p)
-    else:
-        # B2_0 = 0 identically; B3_0 = b_hat_0 * A2_0 with b_hat_0/gamma2_0
-        # continued as alpha + beta + 1.
-        ratio = raise_over_gamma2(product.jacobi, 0)
-        shift = Poly((-cache.gamma1s[0], 1))
-        c2 = Poly.zero()
-        d2 = a2p
-        c3 = -ratio * a2p
-        d3 = a3p + ratio * (shift * a2p)
-
+    # Thresholds at the working precision p, read before the guard; the
+    # family builds S_n and the connection levels inside it, and the
+    # products below, which cancel, run there too.
     half = tol(2)
     third = tol(3)
-    _assert_degree(a2n, d, "A2", exact=True)
-    _assert_degree(b2n, d - 1, "B2", exact=False)
-    _assert_degree(a3n, d + 1, "A3", exact=False)
-    _assert_degree(b3n, d, "B3", exact=False)
-    _assert_degree(c2, d - 1, "C2", exact=False)
-    _assert_degree(d2, d, "D2", exact=True)
-    _assert_degree(c3, d, "C3", exact=False)
-    _assert_degree(d3, d + 1, "D3", exact=False)
-
-    delta_big = a2n * d2 - c2 * b2n
-    _assert_degree(delta_big, 2 * d, "Delta")
-
-    rho = product.rho()
-    delta_small = _exact_div(delta_big, rho, third, "Delta / rho")
-
-    # Lambda_m vanishes identically when every active derivative order
-    # exceeds m; positivity is only claimed once some order k <= m exists.
-    min_order = min((k for _, k, _ in product.active_pairs), default=0)
+    sn = family.poly(n)
+    a2n, b2n, a3n, b3n = connection_level(family, n)
+    a2p, b2p, a3p, b3p = connection_level(family, n - 1)
     lam_prev = lambda_form(family, n - 1)
     lam_cur = lambda_form(family, n)
-    for m, lam in ((n - 1, lam_prev), (n, lam_cur)):
-        if product.d_star > 0 and min_order <= m and not lam > 0:
-            raise StructureError(f"Lambda_{m} positivity failed: {lam}")
+    with family.guard():
+        product = family.product
+        cache = family.jacobi_cache
+        d = product.d
 
-    one_minus_x2 = Poly((1, 0, -1))
-    d1 = b3n * a2n - a3n * b2n
-    dd2 = b3n * c2 - a3n * d2
-    dd3 = b2n * c3 - a2n * d3
-    field_part = one_minus_x2 * rho.deriv() * delta_small
+        if n >= 2:
+            g1 = cache.gamma1s[n - 1]
+            g2 = cache.gamma2s[n - 1]
+            shift = Poly((-g1, 1))
+            c2 = -(1 / g2) * b2p
+            d2 = a2p + (1 / g2) * (shift * b2p)
+            c3 = -(1 / g2) * b3p
+            d3 = a3p + (1 / g2) * (shift * b3p)
+        else:
+            # B2_0 = 0 identically; B3_0 = b_hat_0 * A2_0 with b_hat_0/gamma2_0
+            # continued as alpha + beta + 1.
+            ratio = raise_over_gamma2(product.jacobi, 0)
+            shift = Poly((-cache.gamma1s[0], 1))
+            c2 = Poly.zero()
+            d2 = a2p
+            c3 = -ratio * a2p
+            d3 = a3p + ratio * (shift * a2p)
 
-    q0 = one_minus_x2 * delta_big
-    q1 = d1
-    q2 = field_part + dd2
-    q3 = field_part + dd3
-    q4 = c3 * d2 - d3 * c2
+        _assert_degree(a2n, d, "A2", exact=True)
+        _assert_degree(b2n, d - 1, "B2", exact=False)
+        _assert_degree(a3n, d + 1, "A3", exact=False)
+        _assert_degree(b3n, d, "B3", exact=False)
+        _assert_degree(c2, d - 1, "C2", exact=False)
+        _assert_degree(d2, d, "D2", exact=True)
+        _assert_degree(c3, d, "C3", exact=False)
+        _assert_degree(d3, d + 1, "D3", exact=False)
 
-    _assert_degree(q0, 2 * d + 2, "q0")
-    _assert_degree(q1, 2 * d, "q1")
-    _assert_degree(q2, 2 * d + 1, "q2")
-    _assert_degree(q3, 2 * d + 1, "q3")
-    _assert_degree(q4, 2 * d, "q4")
+        delta_big = a2n * d2 - c2 * b2n
+        _assert_degree(delta_big, 2 * d, "Delta")
 
-    rho_excess = product.rho_excess()
-    phi1 = _exact_div(d1, rho_excess, third, "Delta1 / rho_(d-N)")
-    phi2 = _exact_div(dd2, rho_excess, third, "Delta2 / rho_(d-N)")
-    phi3 = _exact_div(dd3, rho_excess, third, "Delta3 / rho_(d-N)")
+        rho = product.rho()
+        delta_small = _exact_div(delta_big, rho, third, "Delta / rho")
 
-    # Cross-check the two routes to the lowering identity at sample points:
-    # (1-x^2)(rho S_n)' must equal A3 P_n + B3 P_{n-1}.
-    sn = family.poly(n)
-    lhs = one_minus_x2 * (rho * sn).deriv()
-    rhs = a3n * cache.poly(n) + b3n * cache.poly(n - 1)
-    if (lhs - rhs).max_abs_coeff() > half * max(lhs.max_abs_coeff(), mpf(1)):
-        raise StructureError("derivative connection identity failed")
+        # Lambda_m vanishes identically when every active derivative order
+        # exceeds m; positivity is only claimed once some order k <= m exists.
+        min_order = min((k for _, k, _ in product.active_pairs), default=0)
+        for m, lam in ((n - 1, lam_prev), (n, lam_cur)):
+            if product.d_star > 0 and min_order <= m and not lam > 0:
+                raise StructureError(f"Lambda_{m} positivity failed: {lam}")
 
-    # The second-order ODE P2 S_n'' + P1 S_n' + P0 S_n = 0.
-    p2 = q1 * q0 * q0
-    p1 = q0 * (q1 * q2 + q1 * q3 + q0.deriv() * q1 - q0 * q1.deriv())
-    p0 = q1 * q2 * q3 + q0 * (q2.deriv() * q1 - q2 * q1.deriv()) - q4 * q1 * q1
-    _assert_degree(p2, 6 * d + 4, "ODE leading coefficient")
-    _assert_degree(p1, 6 * d + 3, "ODE first-order coefficient", exact=False)
-    _assert_degree(p0, 6 * d + 2, "ODE zeroth-order coefficient", exact=False)
+        one_minus_x2 = Poly((1, 0, -1))
+        d1 = b3n * a2n - a3n * b2n
+        dd2 = b3n * c2 - a3n * d2
+        dd3 = b2n * c3 - a2n * d3
+        field_part = one_minus_x2 * rho.deriv() * delta_small
 
-    return LadderData(
-        n=n,
-        A2=a2n,
-        B2=b2n,
-        C2=c2,
-        D2=d2,
-        Delta=delta_big,
-        delta=delta_small,
-        Lambda_cur=lam_cur,
-        q0=q0,
-        q1=q1,
-        q2=q2,
-        q3=q3,
-        q4=q4,
-        phi1=phi1,
-        phi2=phi2,
-        phi3=phi3,
-        P2=p2,
-        P1=p1,
-        P0=p0,
-    )
+        q0 = one_minus_x2 * delta_big
+        q1 = d1
+        q2 = field_part + dd2
+        q3 = field_part + dd3
+        q4 = c3 * d2 - d3 * c2
+
+        _assert_degree(q0, 2 * d + 2, "q0")
+        _assert_degree(q1, 2 * d, "q1")
+        _assert_degree(q2, 2 * d + 1, "q2")
+        _assert_degree(q3, 2 * d + 1, "q3")
+        _assert_degree(q4, 2 * d, "q4")
+
+        rho_excess = product.rho_excess()
+        phi1 = _exact_div(d1, rho_excess, third, "Delta1 / rho_(d-N)")
+        phi2 = _exact_div(dd2, rho_excess, third, "Delta2 / rho_(d-N)")
+        phi3 = _exact_div(dd3, rho_excess, third, "Delta3 / rho_(d-N)")
+
+        # Cross-check the two routes to the lowering identity at sample points:
+        # (1-x^2)(rho S_n)' must equal A3 P_n + B3 P_{n-1}.
+        lhs = one_minus_x2 * (rho * sn).deriv()
+        rhs = a3n * cache.poly(n) + b3n * cache.poly(n - 1)
+        if (lhs - rhs).max_abs_coeff() > half * max(lhs.max_abs_coeff(), mpf(1)):
+            raise StructureError("derivative connection identity failed")
+
+        # The second-order ODE P2 S_n'' + P1 S_n' + P0 S_n = 0.
+        p2 = q1 * q0 * q0
+        p1 = q0 * (q1 * q2 + q1 * q3 + q0.deriv() * q1 - q0 * q1.deriv())
+        p0 = q1 * q2 * q3 + q0 * (q2.deriv() * q1 - q2 * q1.deriv()) - q4 * q1 * q1
+        _assert_degree(p2, 6 * d + 4, "ODE leading coefficient")
+        _assert_degree(p1, 6 * d + 3, "ODE first-order coefficient", exact=False)
+        _assert_degree(p0, 6 * d + 2, "ODE zeroth-order coefficient", exact=False)
+
+        return LadderData(
+            n=n,
+            A2=a2n,
+            B2=b2n,
+            C2=c2,
+            D2=d2,
+            Delta=delta_big,
+            delta=delta_small,
+            Lambda_cur=lam_cur,
+            q0=q0,
+            q1=q1,
+            q2=q2,
+            q3=q3,
+            q4=q4,
+            phi1=phi1,
+            phi2=phi2,
+            phi3=phi3,
+            P2=p2,
+            P1=p1,
+            P0=p0,
+        )
 
 
 def apply_lowering(ld: LadderData, family: SobolevFamily) -> Poly:

@@ -2,9 +2,9 @@
 small dense linear algebra, and polynomial root finding.
 
 All scalars are mpmath ``mpf`` values evaluated at the current working
-precision (default 256 mantissa bits, see :func:`set_precision`).  Every
-object here is immutable after construction and every operation is a pure
-function of its inputs.
+precision ``mp.prec``, which the caller sets (the CLI from its config;
+importing the package leaves it alone).  Every object here is immutable
+after construction and every operation is a pure function of its inputs.
 
 Root finding (series_roots) runs one Aberth iteration in two stages.  The
 double-precision stage iterates in Python ``complex`` and evaluates the
@@ -21,8 +21,6 @@ from typing import Iterable, Sequence
 
 import mpmath
 from mpmath import libmp, mp, mpc, mpf
-
-DEFAULT_PRECISION_BITS = 256
 
 # Real-root snapping threshold of aberth_roots.
 ROOT_SNAP_TOL = mpf("1e-20")
@@ -60,13 +58,6 @@ class RootFailure(NumKernelError):
     """The polynomial root finder failed to converge."""
 
 
-def set_precision(bits: int = DEFAULT_PRECISION_BITS) -> None:
-    """Set the working precision (mantissa bits) for all computations."""
-    if bits < 53:
-        raise ValueError("working precision below double makes no sense here")
-    mp.prec = bits
-
-
 def precision_digits() -> int:
     """Decimal digits carried by the current working precision."""
     return int(math.floor(mp.prec * math.log10(2)))
@@ -75,9 +66,6 @@ def precision_digits() -> int:
 def tol(frac: int) -> mpf:
     """Tolerance 10^-(precision_digits/frac), the convention used throughout."""
     return mpf(10) ** -(precision_digits() // frac)
-
-
-set_precision()
 
 
 class Poly:

@@ -217,20 +217,25 @@ class SobolevFamily:
     a_m = 1 and a_nu = -w_m . v_nu / h_nu; jacobi_coeffs builds that row and
     poly the monomial form only when asked.  ``memo`` holds the results of
     zeros and of the ladder layer's build_ladder and connection_level per
-    (kind, n, working precision).
+    (kind, n, working precision of the call).
 
-    Precision.  ``prec`` is the working precision p at construction.  The
-    JacobiCache stays at p.  The table, the kernel, the solve, its residual
-    check and the Jacobi rows with their check run at 2p, since K grows with
-    the distance of the mass points from [-1, 1] and the solve loses up to
-    log2 of its condition number.  deriv_vector, values and lambda_forms are
-    handed out rounded to p.  The Jacobi rows stay at 2p: the zeros and
-    zeros_of read them through FixedPointSeries, which takes its inputs
-    unrounded."""
+    Precision.  ``prec`` is the working precision p at construction, and
+    ``guard()`` is the precision 2p at which everything the family stores is
+    computed: the JacobiCache (built inside the guard, so its gamma1, gamma2,
+    h and monomial P_k), the table, the kernel, the solve, the derivative
+    vectors, the Lambda_m, the Jacobi rows, the monomial S_m and the ladder
+    layer's connection levels and bundles.  K grows with the distance of the
+    mass points from [-1, 1], the solve loses up to log2 of its condition
+    number, and the ladder's products cancel, so p bits would not hold the
+    printed digits.  The degree step's residual check and the Jacobi-row
+    check read 2p; every other threshold is taken at the caller's precision
+    before the guard is entered.  Root finding, electrostatics and the
+    reports run at the caller's precision and read the stored values as
+    they are."""
 
     product: SobolevProduct
-    jacobi_cache: JacobiCache
     prec: int = field(init=False)
+    jacobi_cache: JacobiCache = field(init=False, repr=False, compare=False)
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     table: list = field(default_factory=list, init=False, repr=False, compare=False)
     deriv_vectors: list = field(default_factory=list, init=False, repr=False, compare=False)
@@ -244,31 +249,27 @@ class SobolevFamily:
         self.prec = mp.prec
         dstar = self.product.d_star
         self.kernel = [[mpf(0)] * dstar for _ in range(dstar)]
+        with self.guard():
+            self.jacobi_cache = build_jacobi(self.product.jacobi, 0)
+
+    def guard(self):
+        """The family's working precision 2p, as a context manager."""
+        return mp.workprec(2 * self.prec)
 
     @property
     def top(self) -> int:
         return len(self.deriv_vectors) - 1
 
-    def _rounded(self, values: list) -> list:
-        """A copy of values rounded to the family's precision p."""
-        with mp.workprec(self.prec):
-            return [+v for v in values]
-
     def deriv_vector(self, m: int) -> list:
         self.extend(m)
-        return self._rounded(self.deriv_vectors[m])
-
-    def values(self, m: int) -> list:
-        """Per mass point c_j, the list P_m^(k)(c_j) for k = 0..d_j."""
-        self.extend(m)
-        return [self._rounded(row) for row in self.table[m]]
+        return self.deriv_vectors[m]
 
     def jacobi_coeffs(self, m: int) -> list:
-        """a_0..a_m with S_m = sum_nu a_nu P_nu at 2p, built on first use and
+        """a_0..a_m with S_m = sum_nu a_nu P_nu, built on first use and
         checked against the derivative vector: sum_nu a_nu v_nu = s_m."""
         self.extend(m)
         if m not in self.jacobi_rows:
-            with mp.workprec(2 * self.prec):
+            with self.guard():
                 self.jacobi_rows[m] = self._jacobi_row(m)
         return self.jacobi_rows[m]
 
@@ -290,19 +291,21 @@ class SobolevFamily:
 
     def poly(self, m: int) -> Poly:
         """S_m in monomial form, summed from its Jacobi coefficients on first
-        use and checked by Horner's rule at the mass points."""
+        use and checked by Horner's rule at the mass points, against a
+        threshold at the caller's precision."""
         if m not in self.sob_polys:
-            cache = self.jacobi_cache
-            row = self.jacobi_coeffs(m)
-            sm = sum((a * cache.poly(nu) for nu, a in enumerate(row)), Poly.zero())
-            sder = self.deriv_vectors[m]
+            sder = self.deriv_vector(m)
             check_tol = _check_tol(sder)
-            for (j, k, _), sval in zip(self.product.active_pairs, sder):
-                direct = sm.deriv(k)(self.product.points[j].c)
-                if abs(direct - sval) > check_tol:
-                    raise InternalContradiction(
-                        f"derivative vector mismatch at pair ({j},{k}): {direct} vs {sval}"
-                    )
+            with self.guard():
+                cache = self.jacobi_cache
+                row = self.jacobi_coeffs(m)
+                sm = sum((a * cache.poly(nu) for nu, a in enumerate(row)), Poly.zero())
+                for (j, k, _), sval in zip(self.product.active_pairs, sder):
+                    direct = sm.deriv(k)(self.product.points[j].c)
+                    if abs(direct - sval) > check_tol:
+                        raise InternalContradiction(
+                            f"derivative vector mismatch at pair ({j},{k}): {direct} vs {sval}"
+                        )
             self.sob_polys[m] = sm
         return self.sob_polys[m]
 
@@ -314,8 +317,8 @@ class SobolevFamily:
         return self.memo[key]
 
     def zeros(self, n: int) -> list:
-        """Zeros of S_n from its Jacobi expansion (numkernel.series_roots).
-        Memoised; each call returns a new list."""
+        """Zeros of S_n from its Jacobi expansion (numkernel.series_roots), at
+        the working precision.  Memoised; each call returns a new list."""
 
         def build():
             cache = self.jacobi_cache
@@ -329,8 +332,11 @@ class SobolevFamily:
         return self.jacobi_cache.norm(m) + self.lambda_forms[m]
 
     def extend(self, n: int) -> None:
-        while self.top < n:
-            self._build_next()
+        if self.top >= n:
+            return
+        with self.guard():
+            while self.top < n:
+                self._degree_step(self.top + 1)
 
     def _on_pairs(self, nu: int) -> list:
         """v_nu: the table row of degree nu over the active pairs."""
@@ -352,15 +358,10 @@ class SobolevFamily:
             out.append(row)
         return out
 
-    def _build_next(self) -> None:
-        m = self.top + 1
-        self.jacobi_cache.extend(m)
-        with mp.workprec(2 * self.prec):
-            self._degree_step(m)
-
     def _degree_step(self, m: int) -> None:
         pairs = self.product.active_pairs
         dstar = len(pairs)
+        self.jacobi_cache.extend(m)
         self.table.append(self._next_table_row(m))
         vm = self._on_pairs(m)
         kmat = self.kernel  # K_{m-1}(C, C) over the active pairs
@@ -384,7 +385,7 @@ class SobolevFamily:
 
         self.deriv_vectors.append(sder)
         self.weights.append(weights)
-        self.lambda_forms.append(self._rounded([fdot(weights, vm)])[0])
+        self.lambda_forms.append(fdot(weights, vm))
         hm = self.jacobi_cache.norm(m)
         for i in range(dstar):
             for j in range(i + 1):
@@ -396,11 +397,9 @@ def build_family(product: SobolevProduct, n: int) -> SobolevFamily:
     """Construct the Sobolev family S_0..S_n for the given product."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
-    max_k = max((k for _, k, _ in product.active_pairs), default=0)
-    cache = build_jacobi(product.jacobi, n + max_k + 2)
-    fam = SobolevFamily(product, cache)
-    fam.extend(n)
-    return fam
+    family = SobolevFamily(product)
+    family.extend(n)
+    return family
 
 
 def is_sequentially_ordered(product: SobolevProduct):

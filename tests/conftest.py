@@ -1,19 +1,21 @@
 """Shared fixtures: the four benchmark Sobolev products, built once."""
 
 import pytest
+from mpmath import mp
 
 from jacobisobolev import (
     JacobiParams,
     MassPoint,
     SobolevProduct,
     build_family,
-    set_precision,
 )
 
 
 @pytest.fixture(scope="session", autouse=True)
 def _default_precision():
-    set_precision(256)
+    """The tests run at 256 bits, the CLI's default; importing the package
+    leaves mp.prec at mpmath's 53."""
+    mp.prec = 256
 
 
 @pytest.fixture(scope="session")

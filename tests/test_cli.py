@@ -431,6 +431,49 @@ class TestExitCodes:
             assert abs(mpmath.mpc(re, im) - mpmath.mpc(wre, wim)) <= limit * max(1, abs(wre))
 
 
+# A product-stream draw (alpha = 0, beta = 88, orders 1 and 2 at c = -4, -2
+# and 1.5) whose 128-bit ode report held 23.3 of its 38 printed digits while
+# the ladder computed at the working precision.
+STREAM_ODE_CONFIG = {
+    "alpha": "0",
+    "beta": "88",
+    "points": [
+        {"c": "-4", "terms": [{"k": 1, "lambda": "0.5"}, {"k": 2, "lambda": "1"}]},
+        {"c": "-2", "terms": [{"k": 1, "lambda": "2"}, {"k": 2, "lambda": "1"}]},
+        {"c": "1.5", "terms": [{"k": 1, "lambda": "1"}, {"k": 2, "lambda": "2"}]},
+    ],
+    "n": 22,
+    "precision_bits": 128,
+}
+ODE_COEFFICIENTS = ("q0", "q1", "q2", "q3", "q4", "ode_p0", "ode_p1", "ode_p2")
+
+
+class TestOdeDigits:
+    def _report(self, tmp_path, path, n, bits):
+        out = str(tmp_path / f"ode-{bits}.json")
+        assert main(["ode", "--config", path, "--n", str(n), "--precision", str(bits), "--out", out]) == 0
+        with open(out, encoding="utf-8") as fh:
+            return json.load(fh)
+
+    @pytest.mark.parametrize("config,n", [(None, 22), ("legendre_saddle", 24)])
+    def test_every_printed_coefficient_holds(self, tmp_path, config, n):
+        # Every coefficient of q0..q4 and of the ODE that a 128-bit report
+        # prints (38 digits) agrees with a 1,024-bit run to 36 digits,
+        # relative to max(1, |reference|).
+        if config is None:
+            path = write_config(tmp_path, STREAM_ODE_CONFIG)
+        else:
+            path = os.path.join(CONFIG_DIR, f"{config}.json")
+        got = self._report(tmp_path, path, n, 128)
+        ref = self._report(tmp_path, path, n, 1024)
+        with mpmath.workprec(1024):
+            for key in ODE_COEFFICIENTS:
+                assert len(got[key]) == len(ref[key]), key
+                for i, (a, b) in enumerate(zip(got[key], ref[key])):
+                    a, b = mpf(a), mpf(b)
+                    assert abs(a - b) <= mpf("1e-36") * max(1, abs(b)), (key, i, a, b)
+
+
 @st.composite
 def small_configs(draw):
     """Small random products: beta in [0, 120], |c| in [1, 4], k <= 2."""

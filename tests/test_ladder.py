@@ -1,10 +1,13 @@
 """Tests for the ladder algebra, the q-polynomials, the second-order ODE,
 and the rational-coefficient recurrence."""
 
-import pytest
-from mpmath import mpf
+import sys
 
-from jacobisobolev.jacobi import JacobiParams, gamma1, gamma2
+import pytest
+from mpmath import mp, mpf
+
+from jacobisobolev import ladder, sobolev
+from jacobisobolev.jacobi import JacobiParams, classical_ode_residual, gamma1, gamma2
 from jacobisobolev.ladder import (
     apply_lowering,
     apply_raising,
@@ -14,7 +17,7 @@ from jacobisobolev.ladder import (
     recurrence_residual,
 )
 from jacobisobolev.numkernel import Poly, tol
-from jacobisobolev.sobolev import SobolevProduct, build_family
+from jacobisobolev.sobolev import MassPoint, SobolevProduct, build_family
 from oracles import compose_raising, delta_leading_expected, recover_jacobi, shifted_recurrence_residual
 
 
@@ -203,3 +206,63 @@ class TestLowestIndex:
     def test_n0_rejected(self, intro_family):
         with pytest.raises(ValueError):
             build_ladder(intro_family, 0)
+
+
+class TestGuardPrecision:
+    """The family computes everything it stores at 2p, whoever asks first;
+    each threshold reads the precision of its layer."""
+
+    PRODUCT = SobolevProduct(
+        JacobiParams(0, 88), [MassPoint(-2, [(1, 2), (2, 1)]), MassPoint("1.5", [(1, 1)])]
+    )
+
+    @staticmethod
+    def _stored(family, n):
+        raw = lambda poly: [c._mpf_ for c in poly.coeffs]
+        cache = family.jacobi_cache
+        ld = build_ladder(family, n)
+        return {
+            "cache": [raw(cache.poly(k)) for k in range(n + 1)],
+            "gammas": [g._mpf_ for g in cache.gamma1s[: n + 1] + cache.gamma2s[: n + 1]],
+            "sob_polys": {m: raw(p) for m, p in family.sob_polys.items()},
+            "conn": [[raw(p) for p in ladder.connection_level(family, m)] for m in (n - 1, n)],
+            "ladder": [raw(getattr(ld, name)) for name in ("q0", "q1", "q2", "q3", "q4", "P0", "P1", "P2")],
+            "lambda": [lam._mpf_ for lam in family.lambda_forms],
+        }
+
+    def test_stored_values_do_not_depend_on_call_order(self):
+        n = 8
+        with mp.workprec(128):
+            first = build_family(self.PRODUCT, n)
+            # verify's order: the classical ODE check builds the monomial
+            # P_k, and the orthogonality check S_m, before any ladder.
+            for m in range(n + 1):
+                classical_ode_residual(first.jacobi_cache, m)
+            for m in range(n + 1):
+                first.poly(m)
+            second = build_family(self.PRODUCT, n)
+            build_ladder(second, n)
+            for m in range(n + 1):
+                second.poly(m)
+            assert first.jacobi_cache.prec == second.jacobi_cache.prec == 256
+            assert self._stored(first, n) == self._stored(second, n)
+
+    def test_thresholds_read_their_layers_precision(self, monkeypatch):
+        check_tol, ladder_tol = sobolev._check_tol, ladder.tol
+        seen = []
+
+        def recording_check_tol(sder):
+            seen.append((sys._getframe(1).f_code.co_name, mp.prec))
+            return check_tol(sder)
+
+        def recording_tol(frac):
+            seen.append(("ladder", mp.prec))
+            return ladder_tol(frac)
+
+        monkeypatch.setattr(sobolev, "_check_tol", recording_check_tol)
+        monkeypatch.setattr(ladder, "tol", recording_tol)
+        with mp.workprec(128):
+            family = build_family(self.PRODUCT, 6)
+            family.poly(6)
+            build_ladder(family, 6)
+        assert set(seen) == {("_degree_step", 256), ("_jacobi_row", 256), ("poly", 128), ("ladder", 128)}

@@ -1,6 +1,9 @@
 """Tests for the arbitrary-precision numerical substrate."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import mpmath
@@ -9,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import libmp, mp, mpc, mpf
 
+import jacobisobolev
 from jacobisobolev import numkernel
 from jacobisobolev.numkernel import (
     DegenerateDivisor,
@@ -21,7 +25,6 @@ from jacobisobolev.numkernel import (
     cholesky_pd,
     poly_roots,
     precision_digits,
-    set_precision,
     solve_dense,
     sym_eigen,
     tol,
@@ -48,9 +51,14 @@ class TestPrecision:
         assert tol(3) == mpf(10) ** -25
         assert tol(4) == mpf(10) ** -19
 
-    def test_set_precision_rejects_tiny(self):
-        with pytest.raises(ValueError):
-            set_precision(16)
+    def test_import_leaves_precision_alone(self):
+        # Importing the package sets no working precision: mpmath's 53 bits
+        # stay until a caller (the CLI's load_config) sets one.
+        src = os.path.dirname(os.path.dirname(os.path.abspath(jacobisobolev.__file__)))
+        code = "import mpmath, jacobisobolev; print(mpmath.mp.prec)"
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "53"
 
 
 class TestPoly:

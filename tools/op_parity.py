@@ -29,7 +29,10 @@ one whose outcome moved to ok, in the checkout CHECKOUT at REFEREE_BITS of
 precision, far above the benchmark's own referee at p + 256 bits, and prints
 the agreement digits of the roots in both records against that run.  With
 the parent as CHECKOUT, a newly ok op is refereed by code that shares none
-of the change.
+of the change.  It also reruns every generated `ode` op there, which the
+benchmark does not referee, and prints the lowest agreement of its printed
+q0..q4 and ode_p0..ode_p2 coefficients with that run, relative to
+max(1, |reference|), in both records, with the lowest per precision.
 """
 
 from __future__ import annotations
@@ -53,6 +56,9 @@ RANK = {"ok": 0, "exit2": 1, "exit3": 1, "wrong": 2, "uncaught": 3}
 # electro also at n = 40, the degree of the benchmark's electro-n40 workload.
 SHIPPED_N = {"zeros": (12, 24), "ode": (12, 24), "electro": (12, 24, 40), "verify": (12, 24)}
 SHIPPED_PRECISIONS = (128, 256, 512)
+# The printed coefficients of an `ode` report, and the LadderData fields
+# they print.
+ODE_FIELDS = {"q0": "q0", "q1": "q1", "q2": "q2", "q3": "q3", "q4": "q4", "ode_p0": "P0", "ode_p1": "P1", "ode_p2": "P2"}
 
 
 def seed_range(text: str) -> list:
@@ -111,6 +117,8 @@ def run(args) -> int:
             }
             if op["command"] == "zeros" and outcome in ("ok", "wrong"):
                 record["roots"] = [[r["re"], r["im"]] for r in json.loads(report)["roots"]]
+            if op["command"] == "ode" and outcome in ("ok", "wrong"):
+                record["ode"] = {key: json.loads(report)[key] for key in ODE_FIELDS}
             records.append(record)
         done = [r for r in records if r["seed"] == seed]
         print(f"seed {seed}: {sum(r['outcome'] == 'ok' for r in done)}/{len(done)} ok", file=sys.stderr)
@@ -204,35 +212,61 @@ def referee(args) -> int:
     import checks
     import workloads
     from jacobisobolev.cli import load_config
+    from jacobisobolev.ladder import build_ladder
     from jacobisobolev.sobolev import build_family, zeros_of
     from mpmath import mp, mpc, mpf
 
     base, new = load(args.base), load(args.new)
-    flagged = [key for key in sorted(base.keys() & new.keys()) if key[0] and refereed(base[key], new[key])]
+    paired = [key for key in sorted(base.keys() & new.keys()) if key[0]]
+    flagged = [key for key in paired if refereed(base[key], new[key])]
+    odes = [key for key in paired if new[key]["command"] == "ode"]
     work = os.path.join(root, ".op_parity_work")
     ops = {}
+    lowest = {}  # (record name, bits) -> lowest ode digits
     prec = mp.prec
     try:
-        for seed, op_id in flagged:
+        for seed, op_id in flagged + odes:
             if seed not in ops:
                 ops[seed] = {op["id"]: op for op in workloads.materialise(workloads.STREAM, seed, work)}
             op = ops[seed][op_id]
+            bits = op["precision"]
             cfg = load_config(op["config"], n_override=op["n"], precision_override=REFEREE_BITS)
-            ref = [mpc(re, im) for re, im in zeros_of(build_family(cfg["product"], cfg["n"]), cfg["n"]).roots]
+            family = build_family(cfg["product"], cfg["n"])
             figures = []
+            if op["command"] == "zeros":
+                ref = [mpc(re, im) for re, im in zeros_of(family, cfg["n"]).roots]
+                for name, record in (("base", base[seed, op_id]), ("new", new[seed, op_id])):
+                    if "roots" not in record:
+                        figures.append(f"{name} {record['outcome']}")
+                        continue
+                    got = [mpc(mpf(re), mpf(im)) for re, im in record["roots"]]
+                    at_bits = checks.agreement_digits(got, checks._match_nearest(got, ref), bits)
+                    digits = "-" if record["digits"] is None else f"{record['digits']:.2f}"
+                    figures.append(f"{name} {record['outcome']} {digits} -> {at_bits:.2f}")
+                where = f"seed {seed} {op_id} ({bits} bits)"
+                print(f"{where}: digits against p + 256 -> against {REFEREE_BITS} bits: " + "; ".join(figures))
+                continue
+            ld = build_ladder(family, cfg["n"])
             for name, record in (("base", base[seed, op_id]), ("new", new[seed, op_id])):
-                if "roots" not in record:
+                if "ode" not in record:
                     figures.append(f"{name} {record['outcome']}")
                     continue
-                got = [mpc(mpf(re), mpf(im)) for re, im in record["roots"]]
-                at_bits = checks.agreement_digits(got, checks._match_nearest(got, ref), op["precision"])
-                digits = "-" if record["digits"] is None else f"{record['digits']:.2f}"
-                figures.append(f"{name} {record['outcome']} {digits} -> {at_bits:.2f}")
-            where = f"seed {seed} {op_id} ({op['precision']} bits)"
-            print(f"{where}: digits against p + 256 -> against {REFEREE_BITS} bits: " + "; ".join(figures))
+                worst = float("inf")
+                for key, attr in ODE_FIELDS.items():
+                    got, ref = [mpf(c) for c in record["ode"][key]], getattr(ld, attr).coeffs
+                    if len(got) != len(ref):
+                        worst = -float("inf")  # a coefficient count that differs agrees on nothing
+                        break
+                    worst = min(worst, checks.agreement_digits(got, ref, bits))
+                lowest[name, bits] = min(lowest.get((name, bits), float("inf")), worst)
+                figures.append(f"{name} {record['outcome']} {worst:.2f}")
+            print(f"seed {seed} {op_id} ({bits} bits): ode digits against {REFEREE_BITS} bits: " + "; ".join(figures))
     finally:
         mp.prec = prec
     print(f"{len(flagged)} flagged or newly ok zeros ops refereed at {REFEREE_BITS} bits")
+    for (name, bits), worst in sorted(lowest.items()):
+        print(f"ode {name} at {bits} bits: lowest agreement {worst:.2f} digits")
+    print(f"{len(odes)} ode ops refereed at {REFEREE_BITS} bits")
     return 0
 
 
@@ -247,7 +281,7 @@ def main(argv=None) -> int:
     d = sub.add_parser("diff", help="compare two run records")
     d.add_argument("base")
     d.add_argument("new")
-    f = sub.add_parser("referee", help="rerun the flagged and newly ok zeros ops of two records at high precision")
+    f = sub.add_parser("referee", help="rerun the flagged and newly ok zeros ops and every ode op of two records at high precision")
     f.add_argument("base")
     f.add_argument("new")
     f.add_argument("--root", required=True, help="checkout whose src/ computes the referee (the parent's)")
