@@ -11,11 +11,14 @@ double-precision stage iterates in Python ``complex`` and evaluates the
 series with series_values on float copies of its inputs.  The stage at
 working precision iterates in ``mpc`` and evaluates the series with
 FixedPointSeries, in Python ``int`` fixed point with a documented error
-bound.  series_values in ``mpf``/``mpc`` arithmetic is the tests' referee.
+bound; its pull sum takes the terms of well-separated roots in ``complex``
+and only the others in ``mpc`` (aberth_roots).  series_values in
+``mpf``/``mpc`` arithmetic is the tests' referee.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from typing import Iterable, Sequence
 
@@ -501,6 +504,11 @@ def _double_seeds(coeffs: Sequence, gamma1s: Sequence, gamma2s: Sequence) -> lis
 # noise level needs |z - x| near 2^(-p/2).
 ABERTH_MAX_SWEEPS = 200
 
+# Relative separation above which a pull term of aberth_roots is taken from
+# the complex copies of the iterates: their rounding then moves the term by
+# at most about 2^-26 of itself.
+PULL_FAR = 2.0**-26
+
 
 def aberth_roots(evaluate, seeds: Sequence) -> list:
     """All roots of a real polynomial of degree len(seeds) by Aberth-Ehrlich
@@ -521,12 +529,24 @@ def aberth_roots(evaluate, seeds: Sequence) -> list:
     |p(z)| <= n 2^(-p) s(z): there the value is rounding noise, as near a
     multiple zero, and no further step can gain.  Raises RootFailure after
     ABERTH_MAX_SWEEPS max(1, p // 256) sweeps.
+
+    The step is N / (1 - N pull) with N = p(z) / p'(z) and pull =
+    sum_{j != i} 1 / (z_i - z_j).  It vanishes exactly where p(z) = 0,
+    whatever the pull, so the pull's accuracy shapes only the path and not
+    the roots, whose accuracy is set by ``evaluate`` and the freeze rules.
+    With mpc iterates the pull is therefore summed mostly in double
+    precision (_pull): a term is taken in complex from double copies
+    of the iterates when both are finite and farther apart than
+    PULL_FAR (1 + |z_i|), and in mpc otherwise, for roots beyond the double
+    range and for close pairs whose separation the copies would lose.
     """
     zs = list(seeds)
     n = len(zs)
     done_eps = mpf(2) ** (-(7 * mp.prec) // 8)
     noise_eps = n * mpf(2) ** -mp.prec
     max_sweeps = ABERTH_MAX_SWEEPS * max(1, mp.prec // 256)
+    # Complex copies of mpc iterates (None where not finite), for the pull.
+    copies = [_double_copy(z) for z in zs] if zs and isinstance(zs[0], mpc) else None
     active = set(range(n))
     for _ in range(max_sweeps):
         for i in sorted(active):
@@ -538,9 +558,10 @@ def aberth_roots(evaluate, seeds: Sequence) -> list:
             if slope == 0:
                 raise RootFailure(f"degree-{n} Aberth iteration: zero derivative at {z}")
             ratio = value / slope
-            pull = sum(1 / (z - w) for j, w in enumerate(zs) if j != i)
-            step = ratio / (1 - ratio * pull)
+            step = ratio / (1 - ratio * _pull(zs, copies, i))
             zs[i] = z - step
+            if copies:
+                copies[i] = _double_copy(zs[i])
             if abs(step) <= done_eps * (1 + abs(zs[i])) or abs(value) <= noise_eps * scale:
                 active.discard(i)
         if not active:
@@ -550,6 +571,31 @@ def aberth_roots(evaluate, seeds: Sequence) -> list:
                 roots.append((re, mpf(0) if abs(im) < ROOT_SNAP_TOL * (1 + abs(re)) else im))
             return _conjugate_pairs(roots)
     raise RootFailure(f"degree-{n} Aberth iteration: no convergence in {max_sweeps} sweeps")
+
+
+def _double_copy(z):
+    """complex(z) for an mpc z, or None where that is not finite."""
+    w = complex(z)
+    return w if cmath.isfinite(w) else None
+
+
+def _pull(zs: list, copies, i: int):
+    """sum_{j != i} 1 / (zs[i] - zs[j]) in the arithmetic of zs, or, given
+    the complex copies of mpc iterates, as an mpc: a term in complex from the
+    copies where both are finite and farther apart than PULL_FAR (1 + |copy
+    of zs[i]|), the other terms in mpc at working precision."""
+    z, zf = zs[i], copies[i] if copies else None
+    if zf is None:
+        return sum(1 / (z - w) for j, w in enumerate(zs) if j != i)
+    far = PULL_FAR * (1 + abs(zf))
+    fast, exact = 0j, 0
+    for j, wf in enumerate(copies):
+        if j != i:
+            if wf is not None and abs(d := zf - wf) > far:
+                fast += 1 / d
+            else:
+                exact += 1 / (z - zs[j])
+    return exact + mpc(fast)
 
 
 def _conjugate_pairs(roots: list) -> list:

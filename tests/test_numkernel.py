@@ -407,6 +407,27 @@ class TestRoots:
             got = aberth_roots(monomial_evaluator(p), seeds)
             assert max(abs(mpc(re, im) - w) for (re, im), w in zip(got, want)) < mpf("1e-150")
 
+    def test_pull_exact_beyond_double_range(self):
+        # A root at 1e400 has no finite complex copy, so every pull term
+        # that involves it is taken in mpc.
+        with mpmath.workprec(256):
+            want = [mpf(-3), mpf(2), mpf("1e400")]
+            got = poly_roots(Poly.from_roots(want))
+            assert all(im == 0 for _, im in got)
+            assert all(abs(re - w) <= tol(2) * abs(w) for (re, _), w in zip(got, want))
+
+    def test_pull_exact_below_double_separation(self):
+        # (x-1)^2 (x+2)(x-3) at 2112 bits: the pair ends about 2^(-p/2)
+        # from 1, below the smallest double, so its complex copies coincide
+        # and the pair's pull terms must be taken in mpc.
+        with mpmath.workprec(2112):
+            p = Poly.from_roots([-2, 1, 1, 3])
+            seeds = [mpc(1, "1e-8"), mpc(1, "-1e-8"), mpc("-2.1", "1e-3"), mpc("3.1", "-1e-3")]
+            got = aberth_roots(monomial_evaluator(p), seeds)
+            pair = [mpc(re, im) for re, im in got[1:3]]
+            assert abs(pair[0] - pair[1]) < mpf("2.2e-308")
+            assert max(abs(z - 1) for z in pair) < mpf(2) ** (-mpmath.mp.prec // 2 + 8)
+
     def test_aberth_runs_in_python_complex(self):
         # The double-precision stage of SobolevFamily.zeros: no mpc anywhere.
         def evaluate(z):

@@ -1,5 +1,6 @@
 """Tests for the discrete Sobolev inner product and the S_n construction."""
 
+import os
 import random
 import time
 from itertools import permutations
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from mpmath import mp, mpc, mpf
 
 from jacobisobolev import numkernel, sobolev
+from jacobisobolev.cli import load_config
 from jacobisobolev.jacobi import JacobiParams, build_jacobi
 from jacobisobolev.numkernel import Poly, RootFailure, tol
 from jacobisobolev.sobolev import (
@@ -26,6 +28,8 @@ from jacobisobolev.sobolev import (
     zeros_of,
 )
 from oracles import NotApplicable, kernel_dk_closed, log_norm, quasi_orthogonality_check
+
+CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 
 
 def gram_schmidt_oracle(product, n):
@@ -587,6 +591,32 @@ class TestZerosAccuracy:
         self.assert_close(zeros, refined_at_768_bits(product, 24, zeros), mpf("1e-45"), min_gap=mpf("1e-21"))
         pair = [re for re, im in zeros if abs(re + 4) < mpf("1e-10")]
         assert len(pair) == 2 and abs(pair[1] - pair[0] - mpf("4.2274e-21")) < mpf("1e-24")
+
+    @pytest.mark.parametrize(
+        "config,n,floor",
+        [
+            ("large_beta_single_mass", 24, 76.9),
+            ("legendre_saddle", 24, 76.9),
+            ("two_points_mixed_orders", 24, 76.67),
+            ("two_symmetric_masses", 24, 76.86),
+            ("large_beta_single_mass", 40, 76.73),
+        ],
+    )
+    def test_shipped_zeros_match_768_bit_run(self, config, n, floor):
+        # Agreement digits, relative to max(1, |reference|), of the 256-bit
+        # zeros with a 768-bit run of the same code: 0.5 below what the
+        # Aberth iteration with every pull term in mpc gives (77.40, 77.40,
+        # 77.18, 77.37 at n = 24; 77.23 at n = 40).
+        def zeros(bits):
+            with mpmath.workprec(bits):
+                cfg = load_config(os.path.join(CONFIG_DIR, f"{config}.json"), n, bits)
+                return [mpc(re, im) for re, im in build_family(cfg["product"], n).zeros(n)]
+
+        got, ref = zeros(256), zeros(768)
+        assert len(got) == len(ref)
+        with mpmath.workprec(768):
+            err = max(abs(a - b) / max(1, abs(b)) for a, b in zip(got, ref))
+            assert -mpmath.log10(err) >= floor
 
     @staticmethod
     def assert_close(zeros, referee, limit, min_gap=mpf("1e-20")):

@@ -19,20 +19,24 @@ them, a hash of its report and, for `zeros`, the roots it reported.
 Generated configs go to `CHECKOUT/.op_parity_work/`.
 
 `diff` pairs the ops of two records by (seed, op id), prints every change of
-outcome, of digits and of report, and exits 1 when an op's outcome gets
-worse, its digits drop by more than MAX_DIGIT_DROP, or a shipped-config
+outcome and of digits and, for each `zeros` op whose report changed but
+whose outcome did not, the largest root move max |delta r| / max(1, |r|);
+it counts the changed reports per command, and exits 1 when an op's outcome
+gets worse, its digits drop by more than MAX_DIGIT_DROP, or a shipped-config
 report with the same outcome differs from the base's beyond tol(2)
 (`checks.diff_reports`).
 
-`referee` reruns every generated `zeros` op that `diff` flags, and every
-one whose outcome moved to ok, in the checkout CHECKOUT at REFEREE_BITS of
-precision, far above the benchmark's own referee at p + 256 bits, and prints
-the agreement digits of the roots in both records against that run.  With
-the parent as CHECKOUT, a newly ok op is refereed by code that shares none
-of the change.  It also reruns every generated `ode` op there, which the
-benchmark does not referee, and prints the lowest agreement of its printed
-q0..q4 and ode_p0..ode_p2 coefficients with that run, relative to
-max(1, |reference|), in both records, with the lowest per precision.
+`referee` reruns every generated `zeros` op whose outcome got worse or moved
+to ok, whose digits dropped or whose report changed, in the checkout
+CHECKOUT at REFEREE_BITS of precision, far above the benchmark's own
+referee at p + 256 bits, and prints the agreement digits of the roots in
+both records against that run.  With the parent as CHECKOUT, a newly ok op
+is refereed by code that shares none of the change.  It also reruns every
+generated `ode` op there, which the benchmark does not referee, and prints
+the lowest agreement of its printed q0..q4 and ode_p0..ode_p2 coefficients
+with that run, relative to max(1, |reference|), in both records, with the
+lowest per precision.  Each seed's generated configs go to their own
+directory, since every seed writes the same config names.
 """
 
 from __future__ import annotations
@@ -159,14 +163,31 @@ def load(path) -> dict:
 
 def refereed(b, n) -> bool:
     """Whether `referee` reruns a generated zeros op: its outcome got worse
-    or moved to ok, or it lost more than MAX_DIGIT_DROP digits."""
+    or moved to ok, it lost more than MAX_DIGIT_DROP digits, or its report
+    changed."""
     moved = n["outcome"] != b["outcome"] and (RANK[n["outcome"]] > RANK[b["outcome"]] or n["outcome"] == "ok")
-    return n["command"] == "zeros" and (moved or digit_drop(b, n))
+    changed = n["report_sha256"] != b["report_sha256"]
+    return n["command"] == "zeros" and (moved or changed or digit_drop(b, n))
 
 
 def digit_drop(b, n) -> bool:
     """Whether an op with the same outcome lost more than MAX_DIGIT_DROP digits."""
     return b["digits"] is not None and n["digits"] is not None and b["digits"] - n["digits"] > MAX_DIGIT_DROP
+
+
+def root_move(base_roots, new_roots) -> str:
+    """max |delta r| / max(1, |r|) over the new roots, each paired with its
+    nearest base root; `diff` has put perfbench/ on the path."""
+    import checks
+    import mpmath
+    from mpmath import mpc, mpf
+
+    if len(base_roots) != len(new_roots):
+        return f"{len(base_roots)} -> {len(new_roots)} roots"
+    with mpmath.workprec(REFEREE_BITS):
+        got, ref = ([mpc(mpf(re), mpf(im)) for re, im in roots] for roots in (new_roots, base_roots))
+        move = max(abs(g - r) / max(1, abs(r)) for g, r in zip(got, checks._match_nearest(got, ref)))
+        return f"largest root move {mpmath.nstr(move, 3)}"
 
 
 def diff(args) -> int:
@@ -196,6 +217,8 @@ def diff(args) -> int:
                 print(f"WORSE: {where}: {problem}")
         if n["report_sha256"] != b["report_sha256"]:
             changed_reports.setdefault(n["command"], []).append(where)
+            if n["outcome"] == b["outcome"] and "roots" in b and "roots" in n:
+                print(f"moved: {where}: {root_move(b['roots'], n['roots'])}")
     missing = base.keys() ^ new.keys()
     print(f"{len(base.keys() & new.keys())} ops paired, {len(missing)} unpaired")
     for command in sorted({r["command"] for r in new.values()}):
@@ -227,7 +250,8 @@ def referee(args) -> int:
     try:
         for seed, op_id in flagged + odes:
             if seed not in ops:
-                ops[seed] = {op["id"]: op for op in workloads.materialise(workloads.STREAM, seed, work)}
+                seed_work = os.path.join(work, f"seed-{seed}")
+                ops[seed] = {op["id"]: op for op in workloads.materialise(workloads.STREAM, seed, seed_work)}
             op = ops[seed][op_id]
             bits = op["precision"]
             cfg = load_config(op["config"], n_override=op["n"], precision_override=REFEREE_BITS)
@@ -263,7 +287,7 @@ def referee(args) -> int:
             print(f"seed {seed} {op_id} ({bits} bits): ode digits against {REFEREE_BITS} bits: " + "; ".join(figures))
     finally:
         mp.prec = prec
-    print(f"{len(flagged)} flagged or newly ok zeros ops refereed at {REFEREE_BITS} bits")
+    print(f"{len(flagged)} changed, flagged or newly ok zeros ops refereed at {REFEREE_BITS} bits")
     for (name, bits), worst in sorted(lowest.items()):
         print(f"ode {name} at {bits} bits: lowest agreement {worst:.2f} digits")
     print(f"{len(odes)} ode ops refereed at {REFEREE_BITS} bits")
