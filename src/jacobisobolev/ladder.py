@@ -92,14 +92,14 @@ def connection_level(family: SobolevFamily, m: int):
 
 
 def _connection_level(family: SobolevFamily, m: int):
-    family.extend(m)
+    sder = family.deriv_vector(m)
     product, cache = family.product, family.jacobi_cache
     with family.guard():
         a2, b2 = product.rho(), Poly.zero()
         if m > 0:
             hm1 = cache.norm(m - 1)
             prev, cur = family.table[m - 1], family.table[m]
-            for (j, k, lam), sval in zip(product.active_pairs, family.deriv_vectors[m]):
+            for (j, k, lam), sval in zip(product.active_pairs, sder):
                 c = product.points[j].c
                 coef = mpmath.factorial(k) * lam * sval / hm1
                 rjk = product.rho_jk(j, k)
@@ -110,13 +110,6 @@ def _connection_level(family: SobolevFamily, m: int):
         a3 = a2.deriv() * one_minus_x2 + a_hat * a2 + d_hat * b2
         b3 = b2.deriv() * one_minus_x2 + b_hat * a2 + c_hat * b2
     return a2, b2, a3, b3
-
-
-def lambda_form(family: SobolevFamily, m: int) -> mpf:
-    """Lambda_m = S_m(C)^T L P_m(C), the positive quadratic form controlling
-    the leading coefficients of Delta."""
-    family.extend(m)
-    return family.lambda_forms[m]
 
 
 def build_ladder(family: SobolevFamily, n: int) -> LadderData:
@@ -143,8 +136,8 @@ def _build_ladder(family: SobolevFamily, n: int) -> LadderData:
     sn = family.poly(n)
     a2n, b2n, a3n, b3n = connection_level(family, n)
     a2p, b2p, a3p, b3p = connection_level(family, n - 1)
-    lam_prev = lambda_form(family, n - 1)
-    lam_cur = lambda_form(family, n)
+    lam_prev = family.lambda_form(n - 1)
+    lam_cur = family.lambda_form(n)
     with family.guard():
         product = family.product
         cache = family.jacobi_cache

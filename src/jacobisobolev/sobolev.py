@@ -90,10 +90,6 @@ class SobolevProduct:
         object.__setattr__(self, "points", tuple(pts))
 
     @property
-    def n_points(self) -> int:
-        return len(self.points)
-
-    @property
     def d(self) -> int:
         return sum(p.max_order + 1 for p in self.points)
 
@@ -199,8 +195,9 @@ def kernel_poly_dk(cache: JacobiCache, n: int, k: int, y) -> Poly:
 
 @dataclass
 class SobolevFamily:
-    """S_0..S_n through their derivative vectors at the mass points, Lambda_m
-    and, on demand, Jacobi coefficients and monomial forms.
+    """S_m through its derivative vector at the mass points, Lambda_m, its
+    Jacobi coefficients and, on demand, its monomial form, each degree
+    solved once and only where it is read.
 
     Everything is read from one table, grown by one row per degree: for each
     mass point c_j, the values P_nu^(k)(c_j) for k <= d_j, by the
@@ -208,16 +205,17 @@ class SobolevFamily:
     P_{nu+1}^(k)(c) = (c - gamma1_nu) P_nu^(k)(c) + k P_nu^(k-1)(c)
     - gamma2_nu P_{nu-1}^(k)(c), which computes the dominant solution for
     |c| >= 1 and so runs forward stably (Gautschi, SIAM Review 9, 1967).
-    v_nu is its restriction to the active pairs.  ``kernel`` holds the rows of
-    K_top(C, C) = sum_{nu<=top} v_nu v_nu^T / h_nu, one term added per
-    degree.  The derivative vector s_m of S_m solves (I + K_{m-1} L) s_m = v_m,
-    that is (L^-1 + K_{m-1}) w_m = v_m with w_m = L s_m: a Gram matrix plus a
-    positive diagonal, so one Cholesky factorisation per degree solves it,
-    and a failed one is an InternalContradiction.  S_m = sum_nu a_nu P_nu with
-    a_m = 1 and a_nu = -w_m . v_nu / h_nu; jacobi_coeffs builds that row and
-    poly the monomial form only when asked.  ``memo`` holds the results of
-    zeros and of the ladder layer's build_ladder and connection_level per
-    (kind, n, working precision of the call).
+    v_nu is its restriction to the active pairs, and ``kernel(m)`` sums
+    K_{m-1}(C, C) = sum_{nu<m} v_nu v_nu^T / h_nu from the table.  The
+    derivative vector s_m of S_m solves (I + K_{m-1} L) s_m = v_m, that is
+    (L^-1 + K_{m-1}) w_m = v_m with w_m = L s_m: a Gram matrix plus a
+    positive diagonal, so one Cholesky factorisation solves it, and a failed
+    one is an InternalContradiction.  S_m = sum_nu a_nu P_nu with a_m = 1 and
+    a_nu = -w_m . v_nu / h_nu, and Lambda_m = w_m . v_m.  The first read of
+    degree m solves it in O(m d*^2 + d*^3) and keeps (s_m, Lambda_m, a) in
+    ``degrees``; ``poly`` builds the monomial form only when asked.  ``memo``
+    holds the results of zeros and of the ladder layer's build_ladder and
+    connection_level per (kind, n, working precision of the call).
 
     Precision.  ``prec`` is the working precision p at construction, and
     ``guard()`` is the precision 2p at which everything the family stores is
@@ -227,28 +225,21 @@ class SobolevFamily:
     layer's connection levels and bundles.  K grows with the distance of the
     mass points from [-1, 1], the solve loses up to log2 of its condition
     number, and the ladder's products cancel, so p bits would not hold the
-    printed digits.  The degree step's residual check and the Jacobi-row
-    check read 2p; every other threshold is taken at the caller's precision
-    before the guard is entered.  Root finding, electrostatics and the
-    reports run at the caller's precision and read the stored values as
-    they are."""
+    printed digits.  The solve's residual check and Jacobi-row check read
+    2p; every other threshold is taken at the caller's precision before the
+    guard is entered.  Root finding, electrostatics and the reports run at
+    the caller's precision and read the stored values as they are."""
 
     product: SobolevProduct
     prec: int = field(init=False)
     jacobi_cache: JacobiCache = field(init=False, repr=False, compare=False)
     memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     table: list = field(default_factory=list, init=False, repr=False, compare=False)
-    deriv_vectors: list = field(default_factory=list, init=False, repr=False, compare=False)
-    weights: list = field(default_factory=list, init=False, repr=False, compare=False)
-    jacobi_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    degrees: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     sob_polys: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    lambda_forms: list = field(default_factory=list, init=False, repr=False, compare=False)
-    kernel: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.prec = mp.prec
-        dstar = self.product.d_star
-        self.kernel = [[mpf(0)] * dstar for _ in range(dstar)]
         with self.guard():
             self.jacobi_cache = build_jacobi(self.product.jacobi, 0)
 
@@ -256,38 +247,17 @@ class SobolevFamily:
         """The family's working precision 2p, as a context manager."""
         return mp.workprec(2 * self.prec)
 
-    @property
-    def top(self) -> int:
-        return len(self.deriv_vectors) - 1
-
     def deriv_vector(self, m: int) -> list:
-        self.extend(m)
-        return self.deriv_vectors[m]
+        return self._degree(m)[0]
+
+    def lambda_form(self, m: int) -> mpf:
+        """Lambda_m = S_m(C)^T L P_m(C), the positive quadratic form controlling
+        the leading coefficients of Delta."""
+        return self._degree(m)[1]
 
     def jacobi_coeffs(self, m: int) -> list:
-        """a_0..a_m with S_m = sum_nu a_nu P_nu, built on first use and
-        checked against the derivative vector: sum_nu a_nu v_nu = s_m."""
-        self.extend(m)
-        if m not in self.jacobi_rows:
-            with self.guard():
-                self.jacobi_rows[m] = self._jacobi_row(m)
-        return self.jacobi_rows[m]
-
-    def _jacobi_row(self, m: int) -> list:
-        cache = self.jacobi_cache
-        pairs = self.product.active_pairs
-        sder, weights = self.deriv_vectors[m], self.weights[m]
-        values = [self._on_pairs(nu) for nu in range(m + 1)]
-        row = [-fdot(weights, v) / cache.norm(nu) for nu, v in enumerate(values[:m])]
-        row.append(mpf(1))
-        check_tol = _check_tol(sder)
-        for i, ((j, k, _), sval) in enumerate(zip(pairs, sder)):
-            direct = fdot(row, [v[i] for v in values])
-            if abs(direct - sval) > check_tol:
-                raise InternalContradiction(
-                    f"Jacobi row of S_{m} off the derivative vector at pair ({j},{k}): {direct} vs {sval}"
-                )
-        return row
+        """a_0..a_m with S_m = sum_nu a_nu P_nu."""
+        return self._degree(m)[2]
 
     def poly(self, m: int) -> Poly:
         """S_m in monomial form, summed from its Jacobi coefficients on first
@@ -328,15 +298,16 @@ class SobolevFamily:
 
     def sobolev_norm_sq(self, m: int) -> mpf:
         """<S_m, S_m>_s = <S_m, P_m>_s = h_m + Lambda_m."""
-        self.extend(m)
-        return self.jacobi_cache.norm(m) + self.lambda_forms[m]
+        return self.jacobi_cache.norm(m) + self.lambda_form(m)
 
     def extend(self, n: int) -> None:
-        if self.top >= n:
+        """Grow the Jacobi cache and the table through degree n."""
+        if len(self.table) > n:
             return
         with self.guard():
-            while self.top < n:
-                self._degree_step(self.top + 1)
+            self.jacobi_cache.extend(n)
+            while len(self.table) <= n:
+                self.table.append(self._next_table_row(len(self.table)))
 
     def _on_pairs(self, nu: int) -> list:
         """v_nu: the table row of degree nu over the active pairs."""
@@ -358,43 +329,63 @@ class SobolevFamily:
             out.append(row)
         return out
 
-    def _degree_step(self, m: int) -> None:
+    def kernel(self, m: int) -> list:
+        """K_{m-1}(C, C) over the active pairs, from table rows 0..m-1 at 2p,
+        each entry summed in ascending nu."""
+        self.extend(m - 1)
+        dstar = self.product.d_star
+        kmat = [[mpf(0)] * dstar for _ in range(dstar)]
+        with self.guard():
+            for nu in range(m):
+                v, h = self._on_pairs(nu), self.jacobi_cache.norm(nu)
+                for i in range(dstar):
+                    for j in range(i + 1):
+                        kmat[i][j] += v[i] * v[j] / h
+                        kmat[j][i] = kmat[i][j]
+        return kmat
+
+    def _degree(self, m: int) -> tuple:
+        """(s_m, Lambda_m, a_0..a_m), solved at 2p on the first read of m."""
+        if m in self.degrees:
+            return self.degrees[m]
+        self.extend(m)
         pairs = self.product.active_pairs
-        dstar = len(pairs)
-        self.jacobi_cache.extend(m)
-        self.table.append(self._next_table_row(m))
-        vm = self._on_pairs(m)
-        kmat = self.kernel  # K_{m-1}(C, C) over the active pairs
+        cache = self.jacobi_cache
+        with self.guard():
+            kmat = self.kernel(m)
+            values = [self._on_pairs(nu) for nu in range(m + 1)]
+            vm = values[m]
+            shifted = [list(row) for row in kmat]
+            for i, (_, _, lam) in enumerate(pairs):
+                shifted[i][i] += 1 / lam
+            try:
+                weights = solve_dense(shifted, vm)
+            except SingularSystem as exc:  # theoretically impossible for valid products
+                raise InternalContradiction(f"L^-1 + K_{m - 1}(C,C): {exc}") from exc
+            sder = [w / lam for (_, _, lam), w in zip(pairs, weights)]
 
-        shifted = [list(row) for row in kmat]
-        for i, (_, _, lam) in enumerate(pairs):
-            shifted[i][i] += 1 / lam
-        try:
-            weights = solve_dense(shifted, vm)
-        except SingularSystem as exc:  # theoretically impossible for valid products
-            raise InternalContradiction(f"L^-1 + K_{m - 1}(C,C): {exc}") from exc
-        sder = [w / lam for (_, _, lam), w in zip(pairs, weights)]
-
-        # Consistency: the solved derivative vector satisfies s + K L s = v_m,
-        # the identity S_m^(k)(c_j) = s_m that its Jacobi row is checked by.
-        check_tol = _check_tol(sder)
-        for i, ((j, k, _), sval) in enumerate(zip(pairs, sder)):
-            resid = sval + fdot(kmat[i], weights) - vm[i]
-            if abs(resid) > check_tol:
-                raise InternalContradiction(f"kernel system residual {resid} at pair ({j},{k})")
-
-        self.deriv_vectors.append(sder)
-        self.weights.append(weights)
-        self.lambda_forms.append(fdot(weights, vm))
-        hm = self.jacobi_cache.norm(m)
-        for i in range(dstar):
-            for j in range(i + 1):
-                kmat[i][j] += vm[i] * vm[j] / hm
-                kmat[j][i] = kmat[i][j]
+            # Consistency: the solved derivative vector satisfies s + K L s = v_m,
+            # and the Jacobi row gives it back: sum_nu a_nu v_nu = s_m.
+            check_tol = _check_tol(sder)
+            for i, ((j, k, _), sval) in enumerate(zip(pairs, sder)):
+                resid = sval + fdot(kmat[i], weights) - vm[i]
+                if abs(resid) > check_tol:
+                    raise InternalContradiction(f"kernel system residual {resid} at pair ({j},{k})")
+            row = [-fdot(weights, v) / cache.norm(nu) for nu, v in enumerate(values[:m])]
+            row.append(mpf(1))
+            for i, ((j, k, _), sval) in enumerate(zip(pairs, sder)):
+                direct = fdot(row, [v[i] for v in values])
+                if abs(direct - sval) > check_tol:
+                    raise InternalContradiction(
+                        f"Jacobi row of S_{m} off the derivative vector at pair ({j},{k}): {direct} vs {sval}"
+                    )
+            self.degrees[m] = (sder, fdot(weights, vm), row)
+        return self.degrees[m]
 
 
 def build_family(product: SobolevProduct, n: int) -> SobolevFamily:
-    """Construct the Sobolev family S_0..S_n for the given product."""
+    """The Sobolev family of the given product, its table grown through
+    degree n; each degree is solved where it is first read."""
     if n < 0:
         raise ValueError("degree must be nonnegative")
     family = SobolevFamily(product)

@@ -4,16 +4,20 @@ None of these is on a path that the CLI runs: each restates a result of
 the theory (the Jacobi norms by log-Gamma sums, Taylor polynomials of a
 monomial form, the closed Christoffel-Darboux kernel, Cramer recovery of P_n,
 the n-fold raising product, the Lambda law for the leading coefficient of
-Delta, quasi-orthogonality, P_n(1) in closed form, the logarithmic energy)
-so that a test can hold the library's construction against it.
+Delta, quasi-orthogonality, P_n(1) in closed form, the logarithmic energy,
+the exact S_n by Gram-Schmidt over Fraction) so that a test can hold the
+library's construction against it.
 """
+
+from fractions import Fraction
+from math import comb
 
 import mpmath
 from mpmath import mpf
 
 from jacobisobolev.electrostatics import FieldDecomposition, SingularConfiguration
 from jacobisobolev.jacobi import JacobiCache, JacobiParams, gamma2
-from jacobisobolev.ladder import LadderData, _exact_div, build_ladder, connection_level, lambda_form
+from jacobisobolev.ladder import LadderData, _exact_div, build_ladder, connection_level
 from jacobisobolev.numkernel import Poly, tol
 from jacobisobolev.sobolev import SobolevError, SobolevFamily, inner_mu
 
@@ -110,7 +114,7 @@ def delta_leading_expected(family: SobolevFamily, n: int) -> mpf:
         return mpf(1)
     g2 = gamma2(family.product.jacobi, n - 1)
     h = family.jacobi_cache.norm(n - 2)
-    return 1 + lambda_form(family, n - 1) / (g2 * h)
+    return 1 + family.lambda_form(n - 1) / (g2 * h)
 
 
 def recover_jacobi(ld: LadderData, family: SobolevFamily):
@@ -183,3 +187,51 @@ def energy(fd: FieldDecomposition, omega) -> mpf:
     for w in omega:
         acc += external_value(fd, w) / 2
     return acc
+
+
+# Exact rational oracle: moments of (1+x)^beta on [-1, 1] in closed form,
+# Gram-Schmidt over Fraction.  Completely independent of the mpf pipeline.
+
+
+def _rational_moments(beta, top):
+    def moment(i):
+        return sum(
+            Fraction(comb(i, j) * (-1) ** (i - j) * 2 ** (beta + 1 + j), beta + 1 + j)
+            for j in range(i + 1)
+        )
+
+    return [moment(i) for i in range(top + 1)]
+
+
+def _rational_sobolev_poly(beta, masses, n):
+    """Exact monic S_n for integer beta and rational masses [(c, k, lam)]."""
+    moments = _rational_moments(beta, 2 * n + 1)
+
+    def deriv(p, k):
+        for _ in range(k):
+            p = [Fraction(i) * c for i, c in enumerate(p)][1:]
+        return p
+
+    def ev(p, x):
+        acc = Fraction(0)
+        for c in reversed(p):
+            acc = acc * x + c
+        return acc
+
+    def inner(p, q):
+        s = Fraction(0)
+        for a, ca in enumerate(p):
+            for b, cb in enumerate(q):
+                s += ca * cb * moments[a + b]
+        for c, k, lam in masses:
+            s += lam * ev(deriv(p, k), c) * ev(deriv(q, k), c)
+        return s
+
+    basis = []
+    for m in range(n + 1):
+        v = [Fraction(0)] * m + [Fraction(1)]
+        for b in basis:
+            coef = inner(v, b) / inner(b, b)
+            v = [vc - coef * bc for vc, bc in zip(v, b + [Fraction(0)] * (len(v) - len(b)))]
+        basis.append(v)
+    return [c / basis[n][-1] for c in basis[n]]

@@ -9,7 +9,6 @@ implementation's values are the correct ones.  See the evidence docstrings.
 """
 
 from fractions import Fraction
-from math import comb
 
 import mpmath
 import pytest
@@ -25,12 +24,11 @@ from jacobisobolev.electrostatics import (
 from jacobisobolev.jacobi import JacobiParams, gamma1, gamma2
 from jacobisobolev.ladder import (
     build_ladder,
-    lambda_form,
     ode_residual,
 )
 from jacobisobolev.numkernel import Poly, tol
 from jacobisobolev.sobolev import SobolevProduct, build_family, zeros_of
-from oracles import compose_raising, energy
+from oracles import _rational_sobolev_poly, compose_raising, energy
 from test_sobolev import gram_schmidt_oracle
 
 # ---------------------------------------------------------------------------
@@ -65,55 +63,6 @@ def _max_abs_dev(got, want):
 
 def _max_rel_dev(got, want):
     return max(abs(a - b) / abs(b) for a, b in zip(got, want))
-
-
-# ---------------------------------------------------------------------------
-# Exact rational oracle: moments of (1+x)^beta on [-1, 1] in closed form,
-# Gram-Schmidt over Fraction.  Completely independent of the mpf pipeline.
-
-
-def _rational_moments(beta, top):
-    def moment(i):
-        return sum(
-            Fraction(comb(i, j) * (-1) ** (i - j) * 2 ** (beta + 1 + j), beta + 1 + j)
-            for j in range(i + 1)
-        )
-
-    return [moment(i) for i in range(top + 1)]
-
-
-def _rational_sobolev_poly(beta, masses, n):
-    """Exact monic S_n for integer beta and rational masses [(c, k, lam)]."""
-    moments = _rational_moments(beta, 2 * n + 1)
-
-    def deriv(p, k):
-        for _ in range(k):
-            p = [Fraction(i) * c for i, c in enumerate(p)][1:]
-        return p
-
-    def ev(p, x):
-        acc = Fraction(0)
-        for c in reversed(p):
-            acc = acc * x + c
-        return acc
-
-    def inner(p, q):
-        s = Fraction(0)
-        for a, ca in enumerate(p):
-            for b, cb in enumerate(q):
-                s += ca * cb * moments[a + b]
-        for c, k, lam in masses:
-            s += lam * ev(deriv(p, k), c) * ev(deriv(q, k), c)
-        return s
-
-    basis = []
-    for m in range(n + 1):
-        v = [Fraction(0)] * m + [Fraction(1)]
-        for b in basis:
-            coef = inner(v, b) / inner(b, b)
-            v = [vc - coef * bc for vc, bc in zip(v, b + [Fraction(0)] * (len(v) - len(b)))]
-        basis.append(v)
-    return [c / basis[n][-1] for c in basis[n]]
 
 
 def _exact_sign(poly, x):
@@ -335,14 +284,16 @@ class TestCriterion09:
         family = all_families[which]
         min_order = min(k for _, k, _ in family.product.active_pairs)
         for m in range(min_order, 13):
-            assert lambda_form(family, m) > 0, m
+            assert family.lambda_form(m) > 0, m
 
     @pytest.mark.parametrize("which", [0, 1, 2, 3])
     def test_construction_invariants(self, all_families, which):
-        # building to 12 exercises the kernel-system PD check (m >= d), the
-        # divisibility assertions and the degree table inside build_ladder.
+        # solving every degree to 12 exercises the kernel-system PD check
+        # (m >= d), and the ladders at 5 and 12 the divisibility assertions
+        # and the degree table inside build_ladder.
         family = all_families[which]
-        family.extend(12)
+        for m in range(13):
+            family.jacobi_coeffs(m)
         for n in (5, 12):
             ld = build_ladder(family, n)
             d = family.product.d
@@ -377,7 +328,7 @@ class TestCriterion09:
     @pytest.mark.parametrize("which", [1, 2, 3])
     def test_sign_changes(self, all_families, which):
         family = all_families[which]
-        n_pts = family.product.n_points
+        n_pts = len(family.product.points)
         report = zeros_of(family, 12)
         assert report.sign_changes_inside >= 12 - n_pts
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from jacobisobolev import cli, jacobi, ladder, numkernel
+from jacobisobolev import cli, jacobi, ladder, numkernel, sobolev
 from jacobisobolev.cli import (
     ConfigError,
     cmd_polys,
@@ -269,6 +269,28 @@ class TestDeterminism:
         assert main(["verify", "--config", path, "--n", "6", "--out", str(tmp_path / "verify.json")]) == 0
         assert sorted(levels) == [1, 2, 3, 4, 5, 6]
 
+    def test_degrees_solved_on_demand(self, tmp_path, monkeypatch):
+        # Building the family solves nothing: polys and zeros solve S_n,
+        # ode and electro S_{n-1} and S_n, verify every S_m with m <= n,
+        # each once.
+        solved = []
+        real = sobolev.SobolevFamily.kernel
+
+        def recording(family, m):
+            solved.append(m)
+            return real(family, m)
+
+        monkeypatch.setattr(sobolev.SobolevFamily, "kernel", recording)
+        path = write_config(tmp_path, SADDLE_CONFIG)
+        n = SADDLE_CONFIG["n"]
+        for command, want in (("polys", [n]), ("zeros", [n]), ("ode", [n - 1, n]), ("electro", [n - 1, n])):
+            solved.clear()
+            assert main([command, "--config", path, "--out", str(tmp_path / f"{command}.json")]) == 0
+            assert sorted(solved) == want, command
+        solved.clear()
+        assert main(["verify", "--config", path, "--n", "6", "--out", str(tmp_path / "verify.json")]) == 0
+        assert sorted(solved) == list(range(7))
+
     def test_monomial_forms_on_demand(self, tmp_path, monkeypatch):
         # zeros reads S_n through its Jacobi coefficients only; polys sums
         # one monomial S_m, at n.
@@ -353,6 +375,19 @@ class TestExitCodes:
 
     def test_missing_config_is_2(self, tmp_path):
         assert main(["polys", "--config", str(tmp_path / "nope.json")]) == 2
+
+    def test_config_not_utf8_is_2(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert main(["polys", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "not UTF-8" in err, err
+
+    def test_unwritable_out_is_2(self, tmp_path, capsys):
+        out = tmp_path / "nonexistent" / "r.json"
+        assert main(["polys", "--config", write_config(tmp_path, LEGENDRE_CONFIG), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "--out" in err and str(out) in err, err
 
     @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
     def test_degree_zero_is_named(self, command, tmp_path, capsys):

@@ -12,7 +12,6 @@ from jacobisobolev.ladder import (
     apply_lowering,
     apply_raising,
     build_ladder,
-    lambda_form,
     ode_residual,
     recurrence_residual,
 )
@@ -72,7 +71,7 @@ class TestStructure:
         family = all_families[which]
         min_order = min(k for _, k, _ in family.product.active_pairs)
         for m in range(min_order, 9):
-            assert lambda_form(family, m) > 0
+            assert family.lambda_form(m) > 0
 
     @pytest.mark.parametrize("which", [0, 1, 2, 3])
     def test_delta_leading_law(self, all_families, which):
@@ -227,7 +226,7 @@ class TestGuardPrecision:
             "sob_polys": {m: raw(p) for m, p in family.sob_polys.items()},
             "conn": [[raw(p) for p in ladder.connection_level(family, m)] for m in (n - 1, n)],
             "ladder": [raw(getattr(ld, name)) for name in ("q0", "q1", "q2", "q3", "q4", "P0", "P1", "P2")],
-            "lambda": [lam._mpf_ for lam in family.lambda_forms],
+            "lambda": [family.lambda_form(m)._mpf_ for m in range(n + 1)],
         }
 
     def test_stored_values_do_not_depend_on_call_order(self):
@@ -265,4 +264,4 @@ class TestGuardPrecision:
             family = build_family(self.PRODUCT, 6)
             family.poly(6)
             build_ladder(family, 6)
-        assert set(seen) == {("_degree_step", 256), ("_jacobi_row", 256), ("poly", 128), ("ladder", 128)}
+        assert set(seen) == {("_degree", 256), ("poly", 128), ("ladder", 128)}

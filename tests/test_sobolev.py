@@ -3,6 +3,7 @@
 import os
 import random
 import time
+from fractions import Fraction
 from itertools import permutations
 
 import mpmath
@@ -27,7 +28,7 @@ from jacobisobolev.sobolev import (
     kernel_poly_dk,
     zeros_of,
 )
-from oracles import NotApplicable, kernel_dk_closed, log_norm, quasi_orthogonality_check
+from oracles import NotApplicable, _rational_sobolev_poly, kernel_dk_closed, log_norm, quasi_orthogonality_check
 
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 
@@ -123,7 +124,7 @@ class TestMassPoint:
 
 class TestProduct:
     def test_counts(self, ex2_product):
-        assert ex2_product.n_points == 2
+        assert len(ex2_product.points) == 2
         assert ex2_product.d == 5  # (1+1) + (2+1)
         assert ex2_product.d_star == 2
 
@@ -267,7 +268,7 @@ class TestConstruction:
 class TestJacobiTable:
     @pytest.mark.parametrize("which", [0, 1, 2, 3])
     def test_table_matches_kernel_sums(self, all_products, which):
-        # The in-place kernel rows against kernel_dk's Horner sums at 256
+        # The kernel K_{m-1}(C, C) against kernel_dk's Horner sums at 256
         # more bits, within tol(3) of the entry's scale sqrt(K_aa K_bb) (K is
         # positive semidefinite, so it bounds |K_ab|), and S_m from the
         # Jacobi coefficients against P_m - sum lambda s K_{m-1}^{(0,k)}(x, c).
@@ -282,10 +283,11 @@ class TestJacobiTable:
             with mp.workprec(mp.prec + 256):
                 want = [[kernel_dk(ref_cache, m, ka, kb, ca, cb) for (_, kb, _), cb in zip(pairs, cs)]
                         for (_, ka, _), ca in zip(pairs, cs)]
+            kmat = family.kernel(m)
             for a in range(len(pairs)):
                 for b in range(len(pairs)):
                     scale = mpmath.sqrt(want[a][a] * want[b][b])
-                    assert abs(family.kernel[a][b] - want[a][b]) <= tol(3) * scale, (m, a, b)
+                    assert abs(kmat[a][b] - want[a][b]) <= tol(3) * scale, (m, a, b)
             want = cache.poly(m)
             for (j, k, lam), sval in zip(pairs, family.deriv_vector(m)):
                 want = want - (lam * sval) * kernel_poly_dk(cache, m, k, product.points[j].c)
@@ -379,23 +381,60 @@ class TestKernelSolve:
                 assert abs(a - b) <= tol(2) * max(1, abs(b)), nu
 
     def test_one_factorisation_per_degree(self, monkeypatch, ex2_product):
+        # Building the family solves nothing; each degree read is factored
+        # once, on its first read.
         factor = numkernel._cholesky
         calls = []
         monkeypatch.setattr(numkernel, "_cholesky", lambda M: calls.append(len(M)) or factor(M))
-        build_family(ex2_product, 12)
+        family = build_family(ex2_product, 12)
+        assert calls == []
+        family.jacobi_coeffs(12)
+        assert calls == [ex2_product.d_star]
+        for m in list(range(13)) * 2:
+            family.jacobi_coeffs(m)
         assert calls == [ex2_product.d_star] * 13
+
+    @pytest.mark.parametrize("which", [0, 1, 2, 3])
+    def test_degrees_in_any_order_match_exact_gram_schmidt(self, all_products, which):
+        # Each degree is a function of the table alone: asked in shuffled
+        # order, S_m has the bits of S_m asked in order, and it matches the
+        # exact S_m of Gram-Schmidt over Fraction, which shares no
+        # arithmetic with the family.  The oracle takes alpha = 0 and an
+        # integer beta; the shipped products have integer c and lambda too.
+        product = all_products[which]
+        beta = int(product.jacobi.beta)
+        pairs = [(product.points[j].c, k, lam) for j, k, lam in product.active_pairs]
+        assert product.jacobi.alpha == 0 and beta == product.jacobi.beta
+        assert all(c == int(c) and lam == int(lam) for c, _, lam in pairs)
+        masses = [(Fraction(int(c)), k, Fraction(int(lam))) for c, k, lam in pairs]
+        order = list(range(13))
+        random.Random(which).shuffle(order)
+        shuffled, in_order = build_family(product, 12), build_family(product, 12)
+        got = {m: shuffled.poly(m) for m in order}
+        raw = lambda poly: [c._mpf_ for c in poly.coeffs]
+        for m in range(13):
+            assert raw(got[m]) == raw(in_order.poly(m)), m
+            want = [mpf(c.numerator) / c.denominator for c in _rational_sobolev_poly(beta, masses, m)]
+            scale = max(abs(c) for c in want)
+            assert len(got[m].coeffs) == len(want), m
+            assert max(abs(a - b) for a, b in zip(got[m].coeffs, want)) <= tol(2) * scale, m
 
     @given(far_mass_products())
     @settings(max_examples=200, deadline=None, derandomize=True)
     def test_no_contradiction_and_guard_bits_suffice(self, case):
         # L^-1 + K is positive definite for every valid product, so no
-        # degree step may raise InternalContradiction; the row at 128 bits
+        # degree m <= n may raise InternalContradiction; the row at 128 bits
         # agrees with the one at 256.
         product, n = case
+
+        def rows():
+            family = build_family(product, n)
+            return [family.jacobi_coeffs(m) for m in range(n + 1)]
+
         with mp.workprec(256):
-            want = build_family(product, n).jacobi_coeffs(n)
+            want = rows()[n]
         with mp.workprec(128):
-            got = build_family(product, n).jacobi_coeffs(n)
+            got = rows()[n]
             for nu, (a, b) in enumerate(zip(got, want)):
                 assert abs(a - b) <= tol(2) * max(1, abs(b)), nu
 
@@ -463,7 +502,7 @@ class TestQuasiOrthogonality:
 class TestZeros:
     def test_interior_counts(self, all_families):
         for family in all_families:
-            n_pts = family.product.n_points
+            n_pts = len(family.product.points)
             report = zeros_of(family, 8)
             assert report.sign_changes_inside >= 8 - n_pts
 
