@@ -94,6 +94,8 @@ def load_config(path: str, n_override=None, precision_override=None) -> dict:
         raise ConfigError(f"config is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON (line {exc.lineno}, col {exc.colno})") from exc
+    except RecursionError as exc:
+        raise ConfigError("config nests too deeply") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
 
@@ -238,101 +240,68 @@ def cmd_electro(cfg: dict) -> dict:
     return report
 
 
-def cmd_verify(cfg: dict) -> dict:
-    """Run every invariant suite on the configured product at degree n."""
-    product, n = cfg["product"], cfg["n"]
-    checks = []
+def _orthogonality_defects(family, n: int) -> list:
+    """|<S_m, S_j>_s| / <S_m, S_m>_s for j < m <= min(n, 8), taken inside the
+    guard, so that they measure the stored S_m and not the rounding of the sums."""
+    product, cache = family.product, family.jacobi_cache
+    defects = []
+    with family.guard():
+        for m in range(min(n, 8) + 1):
+            sm = family.poly(m)
+            scale = inner_sobolev(sm, sm, product, cache)
+            defects += [abs(inner_sobolev(sm, family.poly(j), product, cache)) / scale for j in range(m)]
+    return defects
 
-    def check(name: str, fn) -> None:
+
+def _round_trip(family, m: int) -> list:
+    """Lowering S_m and raising S_{m-1}, each against its target, relative to S_m."""
+    ld = build_ladder(family, m)
+    pair = (apply_lowering(ld, family) - family.poly(m - 1), apply_raising(ld, family) - family.poly(m))
+    return [r.max_abs_coeff() / family.poly(m).max_abs_coeff() for r in pair]
+
+
+def cmd_verify(cfg: dict) -> dict:
+    """Run every invariant suite on the configured product at degree n.  A row
+    (name, runs, residuals, bound, failure, label) passes when its largest
+    residual is within bound; the ordering probe has no bound and returns its detail."""
+    product, n = cfg["product"], cfg["n"]
+    family = build_family(product, n)
+    rel = tol(4)
+    suites = [
+        ("classical_jacobi_ode", True,
+         lambda: [classical_ode_residual(family.jacobi_cache, m) for m in range(n + 1)],
+         rel, "classical ODE residual", "max residual"),
+        ("sobolev_orthogonality", True, lambda: _orthogonality_defects(family, n),
+         rel, "orthogonality defect", "max relative defect"),
+        ("ladder_operators", n >= 2, lambda: [r for m in range(2, n + 1) for r in _round_trip(family, m)],
+         rel, "ladder round-trip residual", "max ladder residual"),
+        ("second_order_ode", n >= 2,
+         lambda: [ode_residual(build_ladder(family, m), family) for m in range(2, n + 1)],
+         rel, "ODE residual", "max ODE residual"),
+        ("rational_recurrence", n >= 3, lambda: [recurrence_residual(family, m) for m in range(2, n)],
+         rel, "recurrence residual", "max recurrence residual"),
+        ("electrostatic_critical_point", n >= 2 and product.d_star > 0,
+         lambda: [abs(g) for g in gradient(decompose_field(build_ladder(family, n), family),
+                                           zeros_of(family, n).real_roots)],
+         rel * n, "gradient at zeros", "max gradient component"),
+        ("sequential_ordering_probe", True,
+         lambda: f"sequentially_ordered={is_sequentially_ordered(product)[0]}", None, None, None),
+    ]
+    checks = []
+    for name, runs, residuals, bound, failure, label in suites:
+        if not runs:
+            continue
         try:
-            detail = fn()
-            checks.append({"name": name, "passed": True, "detail": str(detail)})
+            if bound is None:
+                detail = residuals()
+            else:
+                worst = max(residuals(), default=0)
+                if worst > bound:
+                    raise StructureError(f"{failure} {worst}")
+                detail = f"{label} {_fmt(worst)}"
+            checks.append({"name": name, "passed": True, "detail": detail})
         except Exception as exc:
             checks.append({"name": name, "passed": False, "detail": f"{type(exc).__name__}: {exc}"})
-
-    family = build_family(product, max(n, 2))
-    rel = tol(4)
-
-    def jacobi_ode():
-        worst = max(classical_ode_residual(family.jacobi_cache, m) for m in range(n + 1))
-        if worst > rel:
-            raise StructureError(f"classical ODE residual {worst}")
-        return f"max residual {_fmt(worst)}"
-
-    check("classical_jacobi_ode", jacobi_ode)
-
-    def orthogonality():
-        # The inner products are taken inside the family's guard, so the
-        # figure measures the stored S_m and not the rounding of its own sums.
-        worst = mpf(0)
-        cache = family.jacobi_cache
-        with family.guard():
-            for m in range(min(n, 8) + 1):
-                sm = family.poly(m)
-                scale = inner_sobolev(sm, sm, product, cache)
-                for j in range(m):
-                    v = abs(inner_sobolev(sm, family.poly(j), product, cache)) / scale
-                    worst = max(worst, v)
-        if worst > rel:
-            raise StructureError(f"orthogonality defect {worst}")
-        return f"max relative defect {_fmt(worst)}"
-
-    check("sobolev_orthogonality", orthogonality)
-
-    def ladder_suite():
-        worst = mpf(0)
-        for m in range(2, n + 1):
-            ld = build_ladder(family, m)
-            low = apply_lowering(ld, family) - family.poly(m - 1)
-            high = apply_raising(ld, family) - family.poly(m)
-            scale = family.poly(m).max_abs_coeff()
-            worst = max(worst, low.max_abs_coeff() / scale, high.max_abs_coeff() / scale)
-        if worst > rel:
-            raise StructureError(f"ladder round-trip residual {worst}")
-        return f"max ladder residual {_fmt(worst)}"
-
-    if n >= 2:
-        check("ladder_operators", ladder_suite)
-
-    def ode_suite():
-        worst = mpf(0)
-        for m in range(2, n + 1):
-            worst = max(worst, ode_residual(build_ladder(family, m), family))
-        if worst > rel:
-            raise StructureError(f"ODE residual {worst}")
-        return f"max ODE residual {_fmt(worst)}"
-
-    if n >= 2:
-        check("second_order_ode", ode_suite)
-
-        def recurrence():
-            worst = max(recurrence_residual(family, m) for m in range(2, n))
-            if worst > rel:
-                raise StructureError(f"recurrence residual {worst}")
-            return f"max recurrence residual {_fmt(worst)}"
-
-        if n >= 3:
-            check("rational_recurrence", recurrence)
-
-    def electro_suite():
-        ld = build_ladder(family, n)
-        fd = decompose_field(ld, family)
-        zr = zeros_of(family, n)
-        grad = gradient(fd, zr.real_roots)
-        worst = max(abs(g) for g in grad)
-        if worst > rel * n:
-            raise StructureError(f"gradient at zeros {worst}")
-        return f"max gradient component {_fmt(worst)}"
-
-    if n >= 2 and product.d_star > 0:
-        check("electrostatic_critical_point", electro_suite)
-
-    def ordering():
-        flag, _ = is_sequentially_ordered(product)
-        return f"sequentially_ordered={flag}"
-
-    check("sequential_ordering_probe", ordering)
-
     report = _base_report(cfg, "verify")
     report.update({"checks": checks, "all_passed": all(c["passed"] for c in checks)})
     return report

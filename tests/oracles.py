@@ -5,12 +5,13 @@ the theory (the Jacobi norms by log-Gamma sums, Taylor polynomials of a
 monomial form, the closed Christoffel-Darboux kernel, Cramer recovery of P_n,
 the n-fold raising product, the Lambda law for the leading coefficient of
 Delta, quasi-orthogonality, P_n(1) in closed form, the logarithmic energy,
-the exact S_n by Gram-Schmidt over Fraction) so that a test can hold the
+the exact S_n by Gram-Schmidt over Fraction, the exact Jacobi row of S_n by
+the family's own algorithm over Fraction) so that a test can hold the
 library's construction against it.
 """
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import mpmath
 from mpmath import mpf
@@ -235,3 +236,82 @@ def _rational_sobolev_poly(beta, masses, n):
             v = [vc - coef * bc for vc, bc in zip(v, b + [Fraction(0)] * (len(v) - len(b)))]
         basis.append(v)
     return [c / basis[n][-1] for c in basis[n]]
+
+
+# Exact Jacobi row: the family's algorithm (the derivative table, the kernel
+# K_{n-1}(C, C), the solve of L^-1 + K, a_nu = -w . v_nu / h_nu) over
+# Fraction, for integer alpha, beta and rational c, lambda.  It shares the
+# formulas of the connection theory with the library but none of its
+# arithmetic, so it decides what rounding alone cannot.
+
+
+def _exact_gammas(alpha, beta, n):
+    """gamma1_k and gamma2_k (gamma2_0 = 0) of the monic Jacobi recurrence,
+    k = 0..n, as in jacobi.gamma1 and jacobi.gamma2."""
+    a, b = Fraction(alpha), Fraction(beta)
+    g1, g2 = [(b - a) / (a + b + 2)], [Fraction(0)]
+    for k in range(1, n + 1):
+        s = 2 * k + a + b
+        g1.append((b * b - a * a) / (s * (s + 2)))
+        if k == 1:
+            g2.append(4 * (1 + a) * (1 + b) / (s * s * (s + 1)))
+        else:
+            g2.append(4 * k * (k + a) * (k + b) * (k + a + b) / (s * s * (s * s - 1)))
+    return g1, g2
+
+
+def exact_jacobi_row(alpha, beta, points, n):
+    """a_0..a_n with S_n = sum_nu a_nu P_nu, exactly, for integer alpha and
+    beta and points [(c, [(k, lambda), ...]), ...] with rational c, lambda."""
+    g1, g2 = _exact_gammas(alpha, beta, n)
+    h = [Fraction(2 ** (alpha + beta + 1) * factorial(alpha) * factorial(beta), factorial(alpha + beta + 1))]
+    for k in range(1, n + 1):
+        h.append(g2[k] * h[-1])
+    pairs = [(Fraction(c), k, Fraction(lam)) for c, terms in points for k, lam in terms]
+    # values[nu][i] = P_nu^(k_i)(c_i), by the differentiated recurrence.
+    top = max((k for _, k, _ in pairs), default=0)
+    rows = {c: [[Fraction(1)] + [Fraction(0)] * top] for c, _, _ in pairs}
+    for c, table in rows.items():
+        prev2 = [Fraction(0)] * (top + 1)
+        for nu in range(1, n + 1):
+            prev = table[-1]
+            table.append([(c - g1[nu - 1]) * prev[k] + (k * prev[k - 1] if k else 0) - g2[nu - 1] * prev2[k]
+                          for k in range(top + 1)])
+            prev2 = prev
+    values = [[rows[c][nu][k] for c, k, _ in pairs] for nu in range(n + 1)]
+    d = len(pairs)
+    system = [[sum(values[nu][i] * values[nu][j] / h[nu] for nu in range(n)) + (1 / lam if i == j else 0)
+               for j in range(d)] + [values[n][i]] for i, (_, _, lam) in enumerate(pairs)]
+    for col in range(d):
+        pivot = next(r for r in range(col, d) if system[r][col] != 0)
+        system[col], system[pivot] = system[pivot], system[col]
+        for r in range(d):
+            if r != col and system[r][col] != 0:
+                f = system[r][col] / system[col][col]
+                system[r] = [x - f * y for x, y in zip(system[r], system[col])]
+    w = [system[i][d] / system[i][i] for i in range(d)]
+    return [-sum(wi * vi for wi, vi in zip(w, values[nu])) / h[nu] for nu in range(n)] + [Fraction(1)]
+
+
+def exact_series(alpha, beta, coeffs, x):
+    """sum_nu coeffs[nu] P_nu(x), exactly, with P_nu from the monic
+    recurrence; x rational."""
+    g1, g2 = _exact_gammas(alpha, beta, len(coeffs))
+    x = Fraction(x)
+    prev, cur, acc = Fraction(0), Fraction(1), Fraction(0)
+    for nu, a in enumerate(coeffs):
+        acc += a * cur
+        prev, cur = cur, (x - g1[nu]) * cur - g2[nu] * prev
+    return acc
+
+
+def exact_monomial(alpha, beta, coeffs):
+    """sum_nu coeffs[nu] P_nu in ascending monomial coefficients, exactly."""
+    g1, g2 = _exact_gammas(alpha, beta, len(coeffs))
+    zero = [Fraction(0)] * len(coeffs)
+    prev, cur, out = zero, [Fraction(1)] + zero[1:], zero
+    for nu, a in enumerate(coeffs):
+        out = [o + a * p for o, p in zip(out, cur)]
+        # P_{nu+1} = (x - gamma1_nu) P_nu - gamma2_nu P_{nu-1}, cut to deg n.
+        prev, cur = cur, [s - g1[nu] * p - g2[nu] * q for s, p, q in zip([Fraction(0)] + cur, cur, prev)]
+    return out

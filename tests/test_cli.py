@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import mpmath
@@ -166,6 +168,27 @@ class TestCommands:
         report = json.loads(capsys.readouterr().out)
         assert report["all_passed"] is True
         assert all(c["passed"] for c in report["checks"])
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    @pytest.mark.parametrize("config", ["legendre_saddle", "no_masses"])
+    def test_verify_suites_run_by_degree(self, tmp_path, capsys, config, n):
+        # The ladder and ODE suites need n >= 2, the recurrence n >= 3 and
+        # the electrostatic suite n >= 2 and a mass point; the others always
+        # run, the ordering probe last.
+        if config == "no_masses":
+            path = write_config(tmp_path, {"alpha": "0.5", "beta": "1.5", "points": [], "n": n, "precision_bits": 128})
+        else:
+            path = os.path.join(CONFIG_DIR, f"{config}.json")
+        assert main(["verify", "--config", path, "--n", str(n)]) == 0
+        want = ["classical_jacobi_ode", "sobolev_orthogonality"]
+        if n >= 2:
+            want += ["ladder_operators", "second_order_ode"]
+        if n >= 3:
+            want += ["rational_recurrence"]
+        if n >= 2 and config != "no_masses":
+            want += ["electrostatic_critical_point"]
+        want += ["sequential_ordering_probe"]
+        assert [c["name"] for c in json.loads(capsys.readouterr().out)["checks"]] == want
 
     def test_n_override(self, tmp_path, capsys):
         rc = main(
@@ -337,6 +360,18 @@ class TestDeterminism:
         assert main(["zeros", "--config", str(tmp_path / "nope.json"), "--precision", "128"]) == 2
         assert mp.prec == before
 
+    def test_precisions_in_turn_match_separate_processes(self, tmp_path, capsys):
+        # 128, 256 and 128 bits in one process give the bytes of three fresh
+        # processes: nothing computed at one precision leaks into the next.
+        path = os.path.join(CONFIG_DIR, "legendre_saddle.json")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__))))
+        for bits in (128, 256, 128):
+            args = ["electro", "--config", path, "--n", "12", "--precision", str(bits)]
+            assert main(args) == 0
+            fresh = subprocess.run([sys.executable, "-m", "jacobisobolev.cli", *args], env=env,
+                                   capture_output=True, text=True, check=True)
+            assert capsys.readouterr().out == fresh.stdout, bits
+
 
 class TestExitCodes:
     def test_config_error_is_2(self, tmp_path, capsys):
@@ -382,6 +417,13 @@ class TestExitCodes:
         assert main(["polys", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and "not UTF-8" in err, err
+
+    def test_deeply_nested_config_is_2(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+        assert main(["polys", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "nests too deeply" in err, err
 
     def test_unwritable_out_is_2(self, tmp_path, capsys):
         out = tmp_path / "nonexistent" / "r.json"

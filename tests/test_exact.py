@@ -1,0 +1,107 @@
+"""The exact Jacobi row of S_n over Fraction as referee for the library.
+
+The shipped products and three generated products of the benchmark's
+product-stream workload (seeds 11, 13 and 17, ops zeros-04, zeros-29 and
+zeros-00) have integer alpha, beta and rational c, lambda, so every
+quantity of the family's algorithm is rational there.
+"""
+
+from fractions import Fraction
+
+import pytest
+from mpmath import mp, mpf
+
+from jacobisobolev import JacobiParams, MassPoint, SobolevProduct, build_family
+from jacobisobolev.numkernel import tol
+from jacobisobolev.sobolev import zeros_of
+
+from oracles import _rational_sobolev_poly, exact_jacobi_row, exact_monomial, exact_series
+
+# (alpha, beta, points, c, delta) of the three generated products, at
+# n = 25.  Each S_25 has two real zeros at its mass point c, closer together
+# than 1e-17, and delta brackets them: c - delta < z1 < c < z2 < c + delta.
+NEAR_DOUBLE_PRODUCTS = {
+    "seed11-zeros04": (2, 49, [("1.5", [(0, "1"), (2, "2")]), ("-3", [(0, "0.5"), (2, "0.5")]),
+                               ("-4", [(0, "1"), (1, "0.5")]), ("1", [(1, "1"), (2, "1")])], -4, "1e-18"),
+    "seed13-zeros29": (2, 53, [("4", [(0, "0.5"), (1, "0.5")]), ("-1", [(1, "0.5"), (2, "0.5")]),
+                               ("1.25", [(1, "2"), (2, "0.5")]), ("1", [(0, "0.5"), (1, "2")])], 4, "2.62e-18"),
+    "seed17-zeros00": (0, 64, [("1", [(1, "0.5"), (2, "1")]), ("2", [(0, "1"), (1, "0.5")]),
+                               ("-1.5", [(0, "0.5"), (2, "2")]), ("-4", [(0, "1"), (1, "0.5")])], -4, "6.4e-19"),
+}
+NEAR_DOUBLE_N = 25
+
+
+def _exact_points(product):
+    """The product's points as Fractions; the shipped ones are integers."""
+    pairs = [(p.c, lam) for p in product.points for _, lam in p.terms]
+    assert all(x == int(x) for pair in pairs for x in pair)
+    return [(Fraction(int(p.c)), [(k, Fraction(int(lam))) for k, lam in p.terms]) for p in product.points]
+
+
+def _near_double_product(name):
+    """(alpha, beta, exact points, library product) of a generated product."""
+    alpha, beta, points, _, _ = NEAR_DOUBLE_PRODUCTS[name]
+    exact = [(Fraction(c), [(k, Fraction(lam)) for k, lam in terms]) for c, terms in points]
+    product = SobolevProduct(
+        JacobiParams(alpha, beta), [MassPoint(mpf(c), [(k, mpf(lam)) for k, lam in terms]) for c, terms in points]
+    )
+    return alpha, beta, exact, product
+
+
+def _assert_row_close(got, want):
+    scale = max(abs(a) for a in want)
+    worst = max(abs(g - mpf(w.numerator) / w.denominator) for g, w in zip(got, want))
+    assert len(got) == len(want)
+    assert worst <= tol(2) * scale, worst / scale
+
+
+@pytest.mark.parametrize("which", [0, 1, 2, 3])
+def test_monomial_form_is_gram_schmidt(all_products, which):
+    # The family's algorithm over Fraction and Gram-Schmidt over Fraction
+    # share no formula: they give the same S_m, exactly.
+    product = all_products[which]
+    alpha, beta = int(product.jacobi.alpha), int(product.jacobi.beta)
+    points = _exact_points(product)
+    masses = [(c, k, lam) for c, terms in points for k, lam in terms]
+    assert alpha == 0
+    for m in range(13):
+        assert exact_monomial(alpha, beta, exact_jacobi_row(alpha, beta, points, m)) == _rational_sobolev_poly(
+            beta, masses, m
+        ), m
+
+
+@pytest.mark.parametrize("which", [0, 1, 2, 3])
+def test_shipped_rows_match_exact(all_products, which):
+    product = all_products[which]
+    alpha, beta = int(product.jacobi.alpha), int(product.jacobi.beta)
+    points = _exact_points(product)
+    with mp.workprec(256):
+        family = build_family(product, 12)
+        for m in range(13):
+            _assert_row_close(family.jacobi_coeffs(m), exact_jacobi_row(alpha, beta, points, m))
+
+
+@pytest.mark.parametrize("name", sorted(NEAR_DOUBLE_PRODUCTS))
+def test_near_double_rows_match_exact(name):
+    alpha, beta, points, product = _near_double_product(name)
+    with mp.workprec(256):
+        _assert_row_close(build_family(product, NEAR_DOUBLE_N).jacobi_coeffs(NEAR_DOUBLE_N),
+                          exact_jacobi_row(alpha, beta, points, NEAR_DOUBLE_N))
+
+
+@pytest.mark.parametrize("name", sorted(NEAR_DOUBLE_PRODUCTS))
+def test_near_double_pairs_are_real(name):
+    # The exact S_25 changes sign on each side of c within delta, so both
+    # zeros are real; at 384 bits the library reports them so, one on each
+    # side of c, with no complex root left near c.
+    alpha, beta, points, product = _near_double_product(name)
+    c, delta = Fraction(NEAR_DOUBLE_PRODUCTS[name][3]), Fraction(NEAR_DOUBLE_PRODUCTS[name][4])
+    row = exact_jacobi_row(alpha, beta, points, NEAR_DOUBLE_N)
+    values = [exact_series(alpha, beta, row, x) for x in (c - delta, c, c + delta)]
+    assert values[0] * values[1] < 0 and values[1] * values[2] < 0
+    with mp.workprec(384):
+        roots = zeros_of(build_family(product, NEAR_DOUBLE_N), NEAR_DOUBLE_N).roots
+        lo, mid, hi = (mpf(x.numerator) / x.denominator for x in (c - delta, c, c + delta))
+        inside = [(re, im) for re, im in roots if lo < re < hi]
+        assert [im for _, im in inside] == [0, 0], inside
+        assert inside[0][0] < mid < inside[1][0]
