@@ -166,7 +166,10 @@ def decompose_field(ld: LadderData, family: SobolevFamily) -> FieldDecomposition
         base = sum(b for _, b, _ in group)
         mult = len(group)
         if mult == 1:
-            res = psi1(center) / psi2.deriv()(center)
+            slope = psi2.deriv()(center)
+            if slope == 0:
+                raise AssumptionViolated(f"pole order at {center} exceeds its structural multiplicity")
+            res = psi1(center) / slope
         else:
             res, spurious = _laurent_residue(psi1, psi2, center, mult)
             scale = max(abs(res), mpf(1))
@@ -267,6 +270,11 @@ def _check_reconstruction(fd: FieldDecomposition, ld: LadderData) -> None:
 def gradient(fd: FieldDecomposition, omega) -> list:
     omega = [mpf(w) for w in omega]
     n = len(omega)
+    for w in omega:
+        if any(w == loc for loc, _ in fd.poles):
+            raise SingularConfiguration(f"charge coincides with pole {w}")
+        if any(im == 0 and w == re for re, im, _ in fd.attractors):
+            raise SingularConfiguration(f"charge coincides with attractor {w}")
     out = []
     for k in range(n):
         g = mpf(0)

@@ -74,10 +74,10 @@ class JacobiCache:
 
     params: JacobiParams
     prec: int = field(init=False)
-    norms: list = field(default_factory=list)
-    gamma1s: list = field(default_factory=list)
-    gamma2s: list = field(default_factory=list)
-    polys: list = field(default_factory=list)
+    norms: list = field(default_factory=list, init=False)
+    gamma1s: list = field(default_factory=list, init=False)
+    gamma2s: list = field(default_factory=list, init=False)
+    polys: list = field(default_factory=list, init=False)
 
     def __post_init__(self):
         self.prec = mp.prec

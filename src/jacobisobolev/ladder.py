@@ -34,10 +34,8 @@ def _exact_div(num: Poly, den: Poly, rel_tol, what: str) -> Poly:
     return quot
 
 
-def _assert_degree(p: Poly, expected: int, what: str, exact: bool = True) -> None:
-    if p.degree > expected:
-        raise StructureError(f"{what}: degree {p.degree} exceeds {expected}")
-    if exact and p.degree != expected:
+def _assert_degree(p: Poly, expected: int, what: str) -> None:
+    if p.degree != expected:
         raise StructureError(f"{what}: degree {p.degree}, expected {expected}")
 
 
@@ -161,18 +159,17 @@ def _build_ladder(family: SobolevFamily, n: int) -> LadderData:
             c3 = -ratio * a2p
             d3 = a3p + ratio * (shift * a2p)
 
-        _assert_degree(a2n, d, "A2", exact=True)
-        _assert_degree(b2n, d - 1, "B2", exact=False)
-        _assert_degree(a3n, d + 1, "A3", exact=False)
-        _assert_degree(b3n, d, "B3", exact=False)
-        _assert_degree(c2, d - 1, "C2", exact=False)
-        _assert_degree(d2, d, "D2", exact=True)
-        _assert_degree(c3, d, "C3", exact=False)
-        _assert_degree(d3, d + 1, "D3", exact=False)
+        # Only D2 and q1..q4 have their degrees checked: each is a sum of two
+        # terms of the same top degree, so its leading coefficient can cancel.
+        # Every other degree follows from these, since Poly arithmetic never
+        # raises a degree and a product's degree is exactly the sum (mpmath
+        # does not underflow).  rho is monic of degree d, so A2 is exactly d
+        # with leading 1, B2 and C2 are at most d - 1, B3 and C3 at most d,
+        # A3 and D3 at most d + 1; then Delta is exactly 2d, q0 exactly
+        # 2d + 2, P2 exactly 6d + 4, P1 at most 6d + 3 and P0 at most 6d + 2.
+        _assert_degree(d2, d, "D2")
 
         delta_big = a2n * d2 - c2 * b2n
-        _assert_degree(delta_big, 2 * d, "Delta")
-
         rho = product.rho()
         delta_small = _exact_div(delta_big, rho, third, "Delta / rho")
 
@@ -195,7 +192,6 @@ def _build_ladder(family: SobolevFamily, n: int) -> LadderData:
         q3 = field_part + dd3
         q4 = c3 * d2 - d3 * c2
 
-        _assert_degree(q0, 2 * d + 2, "q0")
         _assert_degree(q1, 2 * d, "q1")
         _assert_degree(q2, 2 * d + 1, "q2")
         _assert_degree(q3, 2 * d + 1, "q3")
@@ -217,9 +213,6 @@ def _build_ladder(family: SobolevFamily, n: int) -> LadderData:
         p2 = q1 * q0 * q0
         p1 = q0 * (q1 * q2 + q1 * q3 + q0.deriv() * q1 - q0 * q1.deriv())
         p0 = q1 * q2 * q3 + q0 * (q2.deriv() * q1 - q2 * q1.deriv()) - q4 * q1 * q1
-        _assert_degree(p2, 6 * d + 4, "ODE leading coefficient")
-        _assert_degree(p1, 6 * d + 3, "ODE first-order coefficient", exact=False)
-        _assert_degree(p0, 6 * d + 2, "ODE zeroth-order coefficient", exact=False)
 
         return LadderData(
             n=n,

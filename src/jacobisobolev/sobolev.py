@@ -110,30 +110,23 @@ class SobolevProduct:
         return len(self.active_pairs)
 
     def rho(self) -> Poly:
-        out = Poly.one()
-        for p in self.points:
-            out = out * Poly((-p.c, 1)) ** (p.max_order + 1)
-        return out
+        """prod_j (x - c_j)^(d_j + 1)."""
+        return Poly.from_roots([p.c for p in self.points for _ in range(p.max_order + 1)])
 
     def rho_n_points(self) -> Poly:
         return Poly.from_roots([p.c for p in self.points])
 
     def rho_excess(self) -> Poly:
         """rho / rho_N: each location with multiplicity d_j."""
-        out = Poly.one()
-        for p in self.points:
-            out = out * Poly((-p.c, 1)) ** p.max_order
-        return out
+        return Poly.from_roots([p.c for p in self.points for _ in range(p.max_order)])
 
     def rho_jk(self, j: int, k: int) -> Poly:
         """rho with the factor at c_j reduced by k+1 powers."""
-        out = Poly.one()
-        for i, p in enumerate(self.points):
-            mult = p.max_order + 1 - (k + 1 if i == j else 0)
-            if mult < 0:
-                raise ValueError("derivative order exceeds d_j")
-            out = out * Poly((-p.c, 1)) ** mult
-        return out
+        if k > self.points[j].max_order:
+            raise ValueError("derivative order exceeds d_j")
+        return Poly.from_roots(
+            [p.c for i, p in enumerate(self.points) for _ in range(p.max_order + 1 - (k + 1 if i == j else 0))]
+        )
 
 
 def _jacobi_coefficients(f: Poly, cache: JacobiCache) -> list:

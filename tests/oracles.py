@@ -6,8 +6,8 @@ monomial form, the closed Christoffel-Darboux kernel, Cramer recovery of P_n,
 the n-fold raising product, the Lambda law for the leading coefficient of
 Delta, quasi-orthogonality, P_n(1) in closed form, the logarithmic energy,
 the exact S_n by Gram-Schmidt over Fraction, the exact Jacobi row of S_n by
-the family's own algorithm over Fraction) so that a test can hold the
-library's construction against it.
+the family's own algorithm over Fraction, and its exact ladder and ODE) so
+that a test can hold the library's construction against it.
 """
 
 from fractions import Fraction
@@ -260,15 +260,17 @@ def _exact_gammas(alpha, beta, n):
     return g1, g2
 
 
-def exact_jacobi_row(alpha, beta, points, n):
-    """a_0..a_n with S_n = sum_nu a_nu P_nu, exactly, for integer alpha and
-    beta and points [(c, [(k, lambda), ...]), ...] with rational c, lambda."""
+def _exact_solve(alpha, beta, points, n):
+    """The family's degree-n solve over Fraction: (g1, g2, h, pairs, rows, w)
+    with pairs [(c, k, lambda)] in the order of points, rows[c][nu][k] =
+    P_nu^(k)(c) for nu <= n and k up to the largest order, by the
+    differentiated recurrence, and w the solution of (L^-1 + K_{n-1}) w = v_n
+    by Gauss-Jordan elimination, so that s_n = w / lambda."""
     g1, g2 = _exact_gammas(alpha, beta, n)
     h = [Fraction(2 ** (alpha + beta + 1) * factorial(alpha) * factorial(beta), factorial(alpha + beta + 1))]
     for k in range(1, n + 1):
         h.append(g2[k] * h[-1])
     pairs = [(Fraction(c), k, Fraction(lam)) for c, terms in points for k, lam in terms]
-    # values[nu][i] = P_nu^(k_i)(c_i), by the differentiated recurrence.
     top = max((k for _, k, _ in pairs), default=0)
     rows = {c: [[Fraction(1)] + [Fraction(0)] * top] for c, _, _ in pairs}
     for c, table in rows.items():
@@ -290,7 +292,14 @@ def exact_jacobi_row(alpha, beta, points, n):
                 f = system[r][col] / system[col][col]
                 system[r] = [x - f * y for x, y in zip(system[r], system[col])]
     w = [system[i][d] / system[i][i] for i in range(d)]
-    return [-sum(wi * vi for wi, vi in zip(w, values[nu])) / h[nu] for nu in range(n)] + [Fraction(1)]
+    return g1, g2, h, pairs, rows, w
+
+
+def exact_jacobi_row(alpha, beta, points, n):
+    """a_0..a_n with S_n = sum_nu a_nu P_nu, exactly, for integer alpha and
+    beta and points [(c, [(k, lambda), ...]), ...] with rational c, lambda."""
+    _, _, h, pairs, rows, w = _exact_solve(alpha, beta, points, n)
+    return [-sum(wi * rows[c][nu][k] for wi, (c, k, _) in zip(w, pairs)) / h[nu] for nu in range(n)] + [Fraction(1)]
 
 
 def exact_series(alpha, beta, coeffs, x):
@@ -315,3 +324,131 @@ def exact_monomial(alpha, beta, coeffs):
         # P_{nu+1} = (x - gamma1_nu) P_nu - gamma2_nu P_{nu-1}, cut to deg n.
         prev, cur = cur, [s - g1[nu] * p - g2[nu] * q for s, p, q in zip([Fraction(0)] + cur, cur, prev)]
     return out
+
+
+# Exact ladder and ODE: the connection levels, the C/D elimination, the
+# q-polynomials and the ODE coefficients as ladder.py states them, over
+# Fraction from the exact solve above.
+
+
+class _QPoly:
+    """A polynomial over Fraction, ascending coefficients, no trailing zero."""
+
+    def __init__(self, coeffs=()):
+        cs = [Fraction(x) for x in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = cs
+
+    @classmethod
+    def from_roots(cls, roots):
+        out = cls([1])
+        for r in roots:
+            out = out * cls([-r, 1])
+        return out
+
+    def __add__(self, other):
+        a, b = sorted((self.coeffs, other.coeffs), key=len, reverse=True)
+        return _QPoly([x + y for x, y in zip(a, b)] + a[len(b):])
+
+    def __neg__(self):
+        return _QPoly([-x for x in self.coeffs])
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        if not isinstance(other, _QPoly):
+            return _QPoly([other * x for x in self.coeffs])
+        out = [Fraction(0)] * max(len(self.coeffs) + len(other.coeffs) - 1, 0)
+        for i, x in enumerate(self.coeffs):
+            for j, y in enumerate(other.coeffs):
+                out[i + j] += x * y
+        return _QPoly(out)
+
+    __rmul__ = __mul__
+
+    def deriv(self):
+        return _QPoly([i * x for i, x in enumerate(self.coeffs)][1:])
+
+    def exact_div(self, den, what):
+        """self / den, asserting a zero remainder."""
+        rem, dn = list(self.coeffs), len(den.coeffs) - 1
+        quot = [Fraction(0)] * max(len(rem) - dn, 0)
+        for k in reversed(range(len(quot))):
+            quot[k] = rem[k + dn] / den.coeffs[-1]
+            for j, y in enumerate(den.coeffs):
+                rem[k + j] -= quot[k] * y
+        assert not any(rem), f"{what}: nonzero remainder"
+        return _QPoly(quot)
+
+
+def _exact_ladder_coeffs(a, b, m):
+    """(a_m(x), b_m, c_m(x), d_m) of jacobi.ladder_coeffs, with the cancelled
+    forms of c_0 and b_1 (a_0 = b_0 = 0)."""
+    s = 2 * m + a + b
+    if m == 0:
+        return _QPoly(), Fraction(0), _QPoly([a - b, a + b]), -(s - 1)
+    b_coef = 4 * (1 + a) * (1 + b) / (s * s) if m == 1 else 4 * m * (m + a) * (m + b) * (m + a + b) / (s * s * (s - 1))
+    return _QPoly([-m * (b - a) / s, -m]), b_coef, _QPoly([(m + a + b) * (a - b) / s, m + a + b]), -(s - 1)
+
+
+def exact_ladder(alpha, beta, points, n):
+    """Lambda_n, q0..q4 and P0..P2 of S_n (n >= 1) exactly, keyed by the
+    names of the `ode` report, for integer alpha and beta and points
+    [(c, [(k, lambda), ...]), ...] with rational c, lambda.  Asserts that rho
+    divides Delta and that rho_(d-N) divides Delta1, Delta2 and Delta3."""
+    a, b = Fraction(alpha), Fraction(beta)
+    orders = {Fraction(c): max(k for k, _ in terms) for c, terms in points}
+
+    def rho_minus(drop):
+        """prod_j (x - c_j)^(d_j + 1 - drop.get(c_j, 0))."""
+        return _QPoly.from_roots([c for c, dj in orders.items() for _ in range(dj + 1 - drop.get(c, 0))])
+
+    def taylor(derivs, c, k):
+        return sum((_QPoly.from_roots([c] * i) * (derivs[i] / factorial(i)) for i in range(k + 1)), _QPoly())
+
+    rho, one_minus_x2 = rho_minus({}), _QPoly([1, 0, -1])
+
+    def level(m):
+        """(A2, B2, A3, B3, Lambda_m, gamma1, gamma2) at level m."""
+        g1, g2, h, pairs, rows, w = _exact_solve(alpha, beta, points, m)
+        a2, b2 = rho, _QPoly()
+        if m > 0:
+            for (c, k, lam), wi in zip(pairs, w):
+                coef = factorial(k) * lam * (wi / lam) / h[m - 1]  # k! lambda s_m / h_(m-1)
+                rjk = rho_minus({c: k + 1})
+                a2 = a2 - coef * (taylor(rows[c][m - 1], c, k) * rjk)
+                b2 = b2 + coef * (taylor(rows[c][m], c, k) * rjk)
+        a_hat, b_hat, c_hat, d_hat = _exact_ladder_coeffs(a, b, m)
+        a3 = a2.deriv() * one_minus_x2 + a_hat * a2 + d_hat * b2
+        b3 = b2.deriv() * one_minus_x2 + b_hat * a2 + c_hat * b2
+        lam_m = sum((wi * rows[c][m][k] for (c, k, _), wi in zip(pairs, w)), Fraction(0))
+        return a2, b2, a3, b3, lam_m, g1, g2
+
+    a2n, b2n, a3n, b3n, lam_n, g1, g2 = level(n)
+    a2p, b2p, a3p, b3p, _, _, _ = level(n - 1)
+    shift = _QPoly([-g1[n - 1], 1])
+    if n >= 2:
+        inv = 1 / g2[n - 1]
+        c2, d2 = b2p * -inv, a2p + shift * b2p * inv
+        c3, d3 = b3p * -inv, a3p + shift * b3p * inv
+    else:
+        # b_0 / gamma2_0 continued as alpha + beta + 1.
+        ratio = a + b + 1
+        c2, d2 = _QPoly(), a2p
+        c3, d3 = a2p * -ratio, a3p + shift * a2p * ratio
+    delta_big = a2n * d2 - c2 * b2n
+    delta_small = delta_big.exact_div(rho, "Delta / rho")
+    d1, dd2, dd3 = b3n * a2n - a3n * b2n, b3n * c2 - a3n * d2, b2n * c3 - a2n * d3
+    rho_excess = rho_minus({c: 1 for c in orders})
+    for what, delta_i in (("Delta1", d1), ("Delta2", dd2), ("Delta3", dd3)):
+        delta_i.exact_div(rho_excess, f"{what} / rho_(d-N)")
+    field_part = one_minus_x2 * rho.deriv() * delta_small
+    q0, q1, q2, q3 = one_minus_x2 * delta_big, d1, field_part + dd2, field_part + dd3
+    q4 = c3 * d2 - d3 * c2
+    p2 = q1 * q0 * q0
+    p1 = q0 * (q1 * q2 + q1 * q3 + q0.deriv() * q1 - q0 * q1.deriv())
+    p0 = q1 * q2 * q3 + q0 * (q2.deriv() * q1 - q2 * q1.deriv()) - q4 * q1 * q1
+    polys = {"q0": q0, "q1": q1, "q2": q2, "q3": q3, "q4": q4, "ode_p2": p2, "ode_p1": p1, "ode_p0": p0}
+    return dict({key: p.coeffs for key, p in polys.items()}, lambda_n=lam_n)

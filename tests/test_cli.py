@@ -408,6 +408,29 @@ class TestExitCodes:
         assert rc == 3
         assert "AssumptionViolated" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "k, lam, cause",
+        [
+            # A multiple zero of psi2 at the mass point, which the grouping
+            # counts once: the simple-pole slope psi2'(2) is exactly 0.
+            (12, "1", "AssumptionViolated: pole order at 2.0 exceeds its structural multiplicity"),
+            # A zero of S_n rounds to exactly the pole at 2.
+            (0, "1e300", "SingularConfiguration: charge coincides with pole 2.0"),
+        ],
+        ids=["slope-zero", "zero-on-pole"],
+    )
+    def test_singular_field_is_3(self, tmp_path, capsys, k, lam, cause):
+        doc = {"alpha": "0", "beta": "0", "points": [{"c": "2", "terms": [{"k": k, "lambda": lam}]}], "n": 6}
+        path = write_config(tmp_path, doc)
+        out = str(tmp_path / "verify.json")
+        for bits in ("128", "256"):
+            assert main(["electro", "--config", path, "--precision", bits]) == 3
+            assert cause in capsys.readouterr().err
+            assert main(["verify", "--config", path, "--precision", bits, "--out", out]) == 3
+            with open(out, encoding="utf-8") as fh:
+                checks = {c["name"]: c for c in json.load(fh)["checks"]}
+            assert checks["electrostatic_critical_point"]["detail"] == cause
+
     def test_missing_config_is_2(self, tmp_path):
         assert main(["polys", "--config", str(tmp_path / "nope.json")]) == 2
 

@@ -1,4 +1,5 @@
-"""The exact Jacobi row of S_n over Fraction as referee for the library.
+"""The exact Jacobi row of S_n, its ladder and its ODE over Fraction as
+referees for the library.
 
 The shipped products and three generated products of the benchmark's
 product-stream workload (seeds 11, 13 and 17, ops zeros-04, zeros-29 and
@@ -6,16 +7,22 @@ zeros-00) have integer alpha, beta and rational c, lambda, so every
 quantity of the family's algorithm is rational there.
 """
 
+import json
+import os
 from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf
 
 from jacobisobolev import JacobiParams, MassPoint, SobolevProduct, build_family
-from jacobisobolev.numkernel import tol
+from jacobisobolev.cli import main
+from jacobisobolev.numkernel import precision_digits, tol
 from jacobisobolev.sobolev import zeros_of
 
-from oracles import _rational_sobolev_poly, exact_jacobi_row, exact_monomial, exact_series
+from oracles import _QPoly, _rational_sobolev_poly, exact_jacobi_row, exact_ladder, exact_monomial, exact_series
+
+CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
+SHIPPED_CONFIGS = sorted(name[: -len(".json")] for name in os.listdir(CONFIG_DIR) if name.endswith(".json"))
 
 # (alpha, beta, points, c, delta) of the three generated products, at
 # n = 25.  Each S_25 has two real zeros at its mass point c, closer together
@@ -105,3 +112,34 @@ def test_near_double_pairs_are_real(name):
         inside = [(re, im) for re, im in roots if lo < re < hi]
         assert [im for _, im in inside] == [0, 0], inside
         assert inside[0][0] < mid < inside[1][0]
+
+
+@pytest.mark.parametrize("n", [1, 2, 12])
+@pytest.mark.parametrize("config", SHIPPED_CONFIGS)
+def test_ode_report_holds_exact_ladder(tmp_path, config, n):
+    # The exact ladder satisfies the ODE exactly, and every coefficient and
+    # Lambda_n that the `ode` report prints at 128 and 256 bits is within
+    # 10^-(D-2) max(1, |exact|) of it, D the printed digits.
+    path = os.path.join(CONFIG_DIR, f"{config}.json")
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    alpha, beta = int(doc["alpha"]), int(doc["beta"])
+    points = [(Fraction(p["c"]), [(t["k"], Fraction(t["lambda"])) for t in p["terms"]]) for p in doc["points"]]
+    exact = exact_ladder(alpha, beta, points, n)
+    sn = _QPoly(exact_monomial(alpha, beta, exact_jacobi_row(alpha, beta, points, n)))
+    residual = _QPoly(exact["ode_p2"]) * sn.deriv().deriv() + _QPoly(exact["ode_p1"]) * sn.deriv()
+    assert (residual + _QPoly(exact["ode_p0"]) * sn).coeffs == []
+    out = str(tmp_path / "ode.json")
+    for bits in (128, 256):
+        assert main(["ode", "--config", path, "--n", str(n), "--precision", str(bits), "--out", out]) == 0
+        with open(out, encoding="utf-8") as fh:
+            report = json.load(fh)
+        with mp.workprec(bits):
+            bound = Fraction(1, 10 ** (precision_digits() - 2))
+        for key, want in exact.items():
+            got = report[key]
+            if key == "lambda_n":
+                got, want = [got], [want]
+            assert len(got) == len(want), (key, bits)
+            for g, w in zip(got, want):
+                assert abs(Fraction(g) - w) <= bound * max(1, abs(w)), (key, bits, g, w)

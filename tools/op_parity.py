@@ -15,13 +15,15 @@ reports.  The ops, the configs and the checks come from the checkout's
 `perfbench/workloads.py` and `perfbench/checks.py`, imported as they are,
 and the program from its `src/`.  Each op's record holds its outcome (ok,
 exit2, exit3, uncaught or wrong), its correct digits where the check gives
-them, a hash of its report and, for `zeros`, the roots it reported.
+them, a hash of its report, its stderr and, for `zeros`, the roots it
+reported.
 Generated configs go to `CHECKOUT/.op_parity_work/`.
 
 `diff` pairs the ops of two records by (seed, op id), prints every change of
 outcome and of digits and, for each `zeros` op whose report changed but
 whose outcome did not, the largest root move max |delta r| / max(1, |r|);
-it counts the changed reports per command, and exits 1 when an op's outcome
+it prints every op whose stderr changed but whose outcome did not, counts
+the changed reports and stderrs per command, and exits 1 when an op's outcome
 gets worse, its digits drop by more than MAX_DIGIT_DROP, or a shipped-config
 report with the same outcome differs from the base's beyond tol(2)
 (`checks.diff_reports`).
@@ -57,8 +59,10 @@ REFEREE_BITS = 1024
 # Outcomes from best to worst; exit codes 2 and 3 are named failures.
 RANK = {"ok": 0, "exit2": 1, "exit3": 1, "wrong": 2, "uncaught": 3}
 # Shipped-config ops, recorded with seed None: the degrees of each command,
-# electro also at n = 40, the degree of the benchmark's electro-n40 workload.
-SHIPPED_N = {"zeros": (12, 24), "ode": (12, 24), "electro": (12, 24, 40), "verify": (12, 24)}
+# electro also at n = 40, the degree of the benchmark's electro-n40 workload,
+# and the ladder commands at n = 1, 2 and 3, which run its n = 1 branch and
+# connection levels 0 to 2.
+SHIPPED_N = {"zeros": (12, 24), "ode": (1, 2, 3, 12, 24), "electro": (1, 2, 3, 12, 24, 40), "verify": (1, 2, 3, 12, 24)}
 SHIPPED_PRECISIONS = (128, 256, 512)
 # The printed coefficients of an `ode` report, and the LadderData fields
 # they print.
@@ -71,16 +75,16 @@ def seed_range(text: str) -> list:
 
 
 def run_op(main, argv):
-    """(outcome, report text) of one in-process `cli.main` call."""
-    out = io.StringIO()
+    """(outcome, report text, stderr text) of one in-process `cli.main` call."""
+    out, err = io.StringIO(), io.StringIO()
     try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
     except SystemExit as exc:
         code = exc.code
     except Exception:
-        return "uncaught", traceback.format_exc()
-    return {0: "ok", 2: "exit2", 3: "exit3"}.get(code, "uncaught"), out.getvalue()
+        return "uncaught", traceback.format_exc(), err.getvalue()
+    return {0: "ok", 2: "exit2", 3: "exit3"}.get(code, "uncaught"), out.getvalue(), err.getvalue()
 
 
 def run(args) -> int:
@@ -96,7 +100,7 @@ def run(args) -> int:
     for seed in seed_range(args.seeds):
         for op in workloads.materialise(workloads.STREAM, seed, work):
             start = time.perf_counter()
-            outcome, report = run_op(cli.main, op["argv"])
+            outcome, report, stderr = run_op(cli.main, op["argv"])
             seconds = time.perf_counter() - start
             digits, problems = None, []
             if outcome == "ok":
@@ -116,6 +120,7 @@ def run(args) -> int:
                 "outcome": outcome,
                 "digits": digits,
                 "report_sha256": hashlib.sha256(report.encode()).hexdigest(),
+                "stderr": stderr,
                 "problems": problems,
                 "seconds": seconds,
             }
@@ -133,7 +138,7 @@ def run(args) -> int:
                 for bits in SHIPPED_PRECISIONS:
                     argv = [command, "--config", config, "--n", str(n), "--precision", str(bits)]
                     start = time.perf_counter()
-                    outcome, report = run_op(cli.main, argv)
+                    outcome, report, stderr = run_op(cli.main, argv)
                     records.append(
                         {
                             "seed": None,
@@ -144,6 +149,7 @@ def run(args) -> int:
                             "digits": None,
                             "report_sha256": hashlib.sha256(report.encode()).hexdigest(),
                             "report": report,
+                            "stderr": stderr,
                             "problems": [],
                             "seconds": time.perf_counter() - start,
                         }
@@ -196,7 +202,7 @@ def diff(args) -> int:
 
     base, new = load(args.base), load(args.new)
     worse = 0
-    changed_reports = {}
+    changed_reports, changed_stderr = {}, {}
     largest_drop = 0.0
     for key in sorted(base.keys() & new.keys()):
         b, n = base[key], new[key]
@@ -219,12 +225,18 @@ def diff(args) -> int:
             changed_reports.setdefault(n["command"], []).append(where)
             if n["outcome"] == b["outcome"] and "roots" in b and "roots" in n:
                 print(f"moved: {where}: {root_move(b['roots'], n['roots'])}")
+        if n["outcome"] == b["outcome"] and n.get("stderr", "") != b.get("stderr", ""):
+            changed_stderr.setdefault(n["command"], []).append(where)
+            print(f"stderr: {where}: {b.get('stderr', '')!r} -> {n.get('stderr', '')!r}")
     missing = base.keys() ^ new.keys()
     print(f"{len(base.keys() & new.keys())} ops paired, {len(missing)} unpaired")
     for command in sorted({r["command"] for r in new.values()}):
         ops = [k for k in new if new[k]["command"] == command and k in base]
         same = sum(new[k]["outcome"] == base[k]["outcome"] for k in ops)
-        print(f"{command}: {len(ops)} ops, {same} same outcome, {len(changed_reports.get(command, []))} reports changed")
+        print(
+            f"{command}: {len(ops)} ops, {same} same outcome, {len(changed_reports.get(command, []))} reports changed, "
+            f"{len(changed_stderr.get(command, []))} stderrs changed"
+        )
     print(f"largest digit drop {largest_drop:.2f}; {worse} worse")
     return 1 if worse or missing else 0
 
