@@ -3,9 +3,10 @@ system between (S_n, S_{n-1}) and (P_n, P_{n-1}), its determinants, the
 five q-polynomials, the first-order ladder operators, the second-order ODE
 with polynomial coefficients, and the rational-coefficient recurrence.
 
-All identities are verified by exact polynomial division with a remainder
-norm assertion, which turns the symbolic cancellations of the theory into
-quantitative alarms for numerical degradation.
+Each identity (Delta / rho, Delta_i / rho_(d-N), the derivative connection,
+lowering and raising) is checked inside the family's guard by its one rule,
+SobolevFamily.holds: what the cancellation of the theory leaves must hold to
+2^-p of the numerator.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import mpmath
 from mpmath import mpf
 
 from .jacobi import ladder_coeffs, raise_over_gamma2
-from .numkernel import Poly, tol
+from .numkernel import Poly
 from .sobolev import SobolevFamily
 
 
@@ -24,13 +25,11 @@ class StructureError(Exception):
     """A structural identity of the ladder algebra failed numerically."""
 
 
-def _exact_div(num: Poly, den: Poly, rel_tol, what: str) -> Poly:
+def _exact_div(num: Poly, den: Poly, family: SobolevFamily, what: str) -> Poly:
+    """num / den, whose remainder must hold to 2^-p of num (family.holds)."""
     quot, rem = divmod(num, den)
-    scale = max(num.max_abs_coeff(), mpf(1))
-    if rem.max_abs_coeff() > mpf(rel_tol) * scale:
-        raise StructureError(
-            f"{what}: division remainder {rem.max_abs_coeff()} above {mpf(rel_tol) * scale}"
-        )
+    if not family.holds(rem.max_abs_coeff(), num.max_abs_coeff()):
+        raise StructureError(f"{what}: division remainder {rem.max_abs_coeff()} above 2^-{family.prec} of num")
     return quot
 
 
@@ -115,10 +114,9 @@ def build_ladder(family: SobolevFamily, n: int) -> LadderData:
 
     Index 1 uses the continuous limit of the C/D formulas, since the
     generic expressions divide by gamma2_0 = 0 against vanishing numerators.
-    The bundle is computed inside the family's guard and its identity
-    checks read thresholds at the working precision.  It is memoised on the
-    family per (n, working precision), so a repeat call returns the same
-    object.
+    The bundle is computed inside the family's guard, where its identity
+    checks ask family.holds.  It is memoised on the family per (n, working
+    precision), so a repeat call returns the same object.
     """
     if n < 1:
         raise ValueError("ladder data needs n >= 1")
@@ -126,11 +124,6 @@ def build_ladder(family: SobolevFamily, n: int) -> LadderData:
 
 
 def _build_ladder(family: SobolevFamily, n: int) -> LadderData:
-    # Thresholds at the working precision p, read before the guard; the
-    # family builds S_n and the connection levels inside it, and the
-    # products below, which cancel, run there too.
-    half = tol(2)
-    third = tol(3)
     sn = family.poly(n)
     a2n, b2n, a3n, b3n = connection_level(family, n)
     a2p, b2p, a3p, b3p = connection_level(family, n - 1)
@@ -171,7 +164,7 @@ def _build_ladder(family: SobolevFamily, n: int) -> LadderData:
 
         delta_big = a2n * d2 - c2 * b2n
         rho = product.rho()
-        delta_small = _exact_div(delta_big, rho, third, "Delta / rho")
+        delta_small = _exact_div(delta_big, rho, family, "Delta / rho")
 
         # Lambda_m vanishes identically when every active derivative order
         # exceeds m; positivity is only claimed once some order k <= m exists.
@@ -198,15 +191,15 @@ def _build_ladder(family: SobolevFamily, n: int) -> LadderData:
         _assert_degree(q4, 2 * d, "q4")
 
         rho_excess = product.rho_excess()
-        phi1 = _exact_div(d1, rho_excess, third, "Delta1 / rho_(d-N)")
-        phi2 = _exact_div(dd2, rho_excess, third, "Delta2 / rho_(d-N)")
-        phi3 = _exact_div(dd3, rho_excess, third, "Delta3 / rho_(d-N)")
+        phi1 = _exact_div(d1, rho_excess, family, "Delta1 / rho_(d-N)")
+        phi2 = _exact_div(dd2, rho_excess, family, "Delta2 / rho_(d-N)")
+        phi3 = _exact_div(dd3, rho_excess, family, "Delta3 / rho_(d-N)")
 
         # Cross-check the two routes to the lowering identity at sample points:
         # (1-x^2)(rho S_n)' must equal A3 P_n + B3 P_{n-1}.
         lhs = one_minus_x2 * (rho * sn).deriv()
         rhs = a3n * cache.poly(n) + b3n * cache.poly(n - 1)
-        if (lhs - rhs).max_abs_coeff() > half * max(lhs.max_abs_coeff(), mpf(1)):
+        if not family.holds((lhs - rhs).max_abs_coeff(), lhs.max_abs_coeff()):
             raise StructureError("derivative connection identity failed")
 
         # The second-order ODE P2 S_n'' + P1 S_n' + P0 S_n = 0.
@@ -238,17 +231,17 @@ def _build_ladder(family: SobolevFamily, n: int) -> LadderData:
 
 
 def apply_lowering(ld: LadderData, family: SobolevFamily) -> Poly:
-    """S_{n-1} = (q2 S_n + q0 S_n') / q1, with an exact-division assertion."""
+    """S_{n-1} = (q2 S_n + q0 S_n') / q1, divided exactly inside the guard."""
     sn = family.poly(ld.n)
-    num = ld.q2 * sn + ld.q0 * sn.deriv()
-    return _exact_div(num, ld.q1, tol(3), "lowering")
+    with family.guard():
+        return _exact_div(ld.q2 * sn + ld.q0 * sn.deriv(), ld.q1, family, "lowering")
 
 
 def apply_raising(ld: LadderData, family: SobolevFamily) -> Poly:
-    """S_n = (q3 S_{n-1} + q0 S_{n-1}') / q4, with an exact-division assertion."""
+    """S_n = (q3 S_{n-1} + q0 S_{n-1}') / q4, as apply_lowering."""
     sm = family.poly(ld.n - 1)
-    num = ld.q3 * sm + ld.q0 * sm.deriv()
-    return _exact_div(num, ld.q4, tol(3), "raising")
+    with family.guard():
+        return _exact_div(ld.q3 * sm + ld.q0 * sm.deriv(), ld.q4, family, "raising")
 
 
 def ode_residual(ld: LadderData, family: SobolevFamily) -> mpf:

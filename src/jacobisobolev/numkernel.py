@@ -279,17 +279,24 @@ def _cholesky(M: Sequence[Sequence]):
     return L
 
 
-def solve_dense(A: Sequence[Sequence], b: Sequence) -> list:
-    """Solve A x = b for a symmetric positive definite A, given as a list of
-    rows, by one Cholesky factorisation and two triangular solves.  Raises
-    SingularSystem when A is not positive definite.  No threshold scaled to
-    the entries is involved, so a badly scaled A is solved as it stands."""
-    n = len(A)
-    if any(len(row) != n for row in A) or len(b) != n:
-        raise ValueError("dimension mismatch")
+def cholesky(A: Sequence[Sequence]) -> list:
+    """The rows of the lower Cholesky factor of the symmetric A; raises
+    SingularSystem where a pivot is not strictly positive."""
     L = _cholesky(A)
     if L is None:
         raise SingularSystem("matrix is not positive definite")
+    return L
+
+
+def solve_dense(A: Sequence[Sequence], b: Sequence, factor: list | None = None) -> list:
+    """Solve A x = b for a symmetric positive definite A, given as a list of
+    rows, by its Cholesky factor (given, or factored here) and two triangular
+    solves; SingularSystem where A is not positive definite.  No threshold
+    scaled to the entries is involved, so a badly scaled A is solved as is."""
+    n = len(A)
+    if any(len(row) != n for row in A) or len(b) != n:
+        raise ValueError("dimension mismatch")
+    L = factor or cholesky(A)
     y = []
     for i, row in enumerate(L):
         y.append((b[i] - mpmath.fdot(row[:i], y)) / row[i])

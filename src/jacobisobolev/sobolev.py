@@ -17,7 +17,7 @@ import mpmath
 from mpmath import fdot, mp, mpf
 
 from .jacobi import JacobiCache, JacobiParams, build_jacobi
-from .numkernel import Poly, SingularSystem, series_roots, solve_dense, tol
+from .numkernel import Poly, SingularSystem, cholesky, series_roots, solve_dense
 
 class SobolevError(Exception):
     pass
@@ -28,9 +28,10 @@ class InvalidMassPoint(SobolevError):
 
 
 class InternalContradiction(SobolevError):
-    """A degree step contradicted the theory: L^-1 + K_{m-1}(C, C), a Gram
-    matrix plus a positive diagonal, failed its Cholesky factorisation, or a
-    solved derivative vector or Jacobi row failed its identity check."""
+    """A degree step failed at the working precision: L^-1 + K_{m-1}(C, C), a
+    Gram matrix plus a positive diagonal, lost a Cholesky pivot (to 0, or to
+    2^-p of its diagonal), or a solved derivative vector, Jacobi row or
+    monomial S_m missed its identity by more than SobolevFamily.holds allows."""
 
 
 @dataclass(frozen=True)
@@ -159,12 +160,6 @@ def inner_sobolev(f: Poly, g: Poly, product: SobolevProduct, cache: JacobiCache)
     return acc
 
 
-def _check_tol(sder) -> mpf:
-    """The threshold of the derivative-vector checks: tol(3) relative to the
-    largest |s_i|, and absolute below 1."""
-    return tol(3) * max([mpf(1)] + [abs(v) for v in sder])
-
-
 def kernel_dk(cache: JacobiCache, n: int, ell: int, k: int, x, y) -> mpf:
     """Derivative kernel K_{n-1}^{(ell,k)}(x, y) by direct summation; the
     reference for SobolevFamily.kernel."""
@@ -218,10 +213,10 @@ class SobolevFamily:
     layer's connection levels and bundles.  K grows with the distance of the
     mass points from [-1, 1], the solve loses up to log2 of its condition
     number, and the ladder's products cancel, so p bits would not hold the
-    printed digits.  The solve's residual check and Jacobi-row check read
-    2p; every other threshold is taken at the caller's precision before the
-    guard is entered.  Root finding, electrostatics and the reports run at
-    the caller's precision and read the stored values as they are."""
+    printed digits.  Every identity check of the family and of the ladder
+    layer reads one rule, ``holds``, and so does the solve's pivot check.
+    Root finding, electrostatics and the reports run at the caller's
+    precision and read the stored values as they are."""
 
     product: SobolevProduct
     prec: int = field(init=False)
@@ -240,6 +235,13 @@ class SobolevFamily:
         """The family's working precision 2p, as a context manager."""
         return mp.workprec(2 * self.prec)
 
+    def holds(self, residual: mpf, size: mpf) -> bool:
+        """The one threshold rule of the identity checks: |residual| <=
+        2^-p max(1, size) at the family's p, where size is the magnitude of
+        the terms that cancel to the residual.  Callers ask inside the guard,
+        where abs() and the shift by p are exact."""
+        return abs(residual) <= mpmath.ldexp(max(mpf(1), size), -self.prec)
+
     def deriv_vector(self, m: int) -> list:
         return self._degree(m)[0]
 
@@ -254,18 +256,19 @@ class SobolevFamily:
 
     def poly(self, m: int) -> Poly:
         """S_m in monomial form, summed from its Jacobi coefficients on first
-        use and checked by Horner's rule at the mass points, against a
-        threshold at the caller's precision."""
+        use and checked by Horner's rule at the mass points: each derivative
+        must hold the solved s_m to 2^-p of the sum of |a_i c^i| over its
+        Horner terms."""
         if m not in self.sob_polys:
             sder = self.deriv_vector(m)
-            check_tol = _check_tol(sder)
             with self.guard():
                 cache = self.jacobi_cache
                 row = self.jacobi_coeffs(m)
                 sm = sum((a * cache.poly(nu) for nu, a in enumerate(row)), Poly.zero())
                 for (j, k, _), sval in zip(self.product.active_pairs, sder):
-                    direct = sm.deriv(k)(self.product.points[j].c)
-                    if abs(direct - sval) > check_tol:
+                    dk, c = sm.deriv(k), self.product.points[j].c
+                    direct = dk(c)
+                    if not self.holds(direct - sval, Poly(map(abs, dk.coeffs))(abs(c))):
                         raise InternalContradiction(
                             f"derivative vector mismatch at pair ({j},{k}): {direct} vs {sval}"
                         )
@@ -352,23 +355,29 @@ class SobolevFamily:
             for i, (_, _, lam) in enumerate(pairs):
                 shifted[i][i] += 1 / lam
             try:
-                weights = solve_dense(shifted, vm)
+                factor = cholesky(shifted)
             except SingularSystem as exc:  # theoretically impossible for valid products
                 raise InternalContradiction(f"L^-1 + K_{m - 1}(C,C): {exc}") from exc
+            # A pivot within 2^-p of its diagonal (mass points close together) has
+            # cancelled the p bits that the guard holds beyond p.
+            for i in range(len(pairs)):
+                if self.holds(factor[i][i] ** 2 / shifted[i][i], 1):
+                    raise InternalContradiction(f"L^-1 + K_{m - 1}(C,C): pivot {i} below 2^-{self.prec}")
+            weights = solve_dense(shifted, vm, factor)
             sder = [w / lam for (_, _, lam), w in zip(pairs, weights)]
 
             # Consistency: the solved derivative vector satisfies s + K L s = v_m,
-            # and the Jacobi row gives it back: sum_nu a_nu v_nu = s_m.
-            check_tol = _check_tol(sder)
+            # and the Jacobi row gives it back: sum_nu a_nu v_nu = s_m, each to
+            # 2^-p of the magnitudes of its terms, which cancel as K grows.
+            row = [-fdot(weights, v) / cache.norm(nu) for nu, v in enumerate(values[:m])] + [mpf(1)]
+            abs_weights, abs_row = [abs(w) for w in weights], [abs(a) for a in row]
             for i, ((j, k, _), sval) in enumerate(zip(pairs, sder)):
                 resid = sval + fdot(kmat[i], weights) - vm[i]
-                if abs(resid) > check_tol:
+                if not self.holds(resid, abs(sval) + fdot(map(abs, kmat[i]), abs_weights) + abs(vm[i])):
                     raise InternalContradiction(f"kernel system residual {resid} at pair ({j},{k})")
-            row = [-fdot(weights, v) / cache.norm(nu) for nu, v in enumerate(values[:m])]
-            row.append(mpf(1))
-            for i, ((j, k, _), sval) in enumerate(zip(pairs, sder)):
-                direct = fdot(row, [v[i] for v in values])
-                if abs(direct - sval) > check_tol:
+                column = [v[i] for v in values]
+                direct = fdot(row, column)
+                if not self.holds(direct - sval, fdot(abs_row, map(abs, column))):
                     raise InternalContradiction(
                         f"Jacobi row of S_{m} off the derivative vector at pair ({j},{k}): {direct} vs {sval}"
                     )

@@ -19,7 +19,7 @@ from jacobisobolev.cli import main
 from jacobisobolev.numkernel import precision_digits, tol
 from jacobisobolev.sobolev import zeros_of
 
-from oracles import _QPoly, _rational_sobolev_poly, exact_jacobi_row, exact_ladder, exact_monomial, exact_series
+from oracles import _QPoly, _rational_sobolev_poly, exact_field, exact_jacobi_row, exact_ladder, exact_monomial, exact_series
 
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 SHIPPED_CONFIGS = sorted(name[: -len(".json")] for name in os.listdir(CONFIG_DIR) if name.endswith(".json"))
@@ -36,6 +36,32 @@ NEAR_DOUBLE_PRODUCTS = {
                                ("-1.5", [(0, "0.5"), (2, "2")]), ("-4", [(0, "1"), (1, "0.5")])], -4, "6.4e-19"),
 }
 NEAR_DOUBLE_N = 25
+
+
+# The exact structure of delta and phi1 at the sources (the endpoints -1, 1
+# and the mass points) of the shipped products, where it is not empty:
+# (name, c) -> (multiplicity at c, counts of the other distinct real zeros
+# within 10^-e of c for e in FIELD_EXPONENTS).  Every other (name, c) has
+# neither a zero at c nor one within 1e-6 of it.
+FIELD_EXPONENTS = (6, 9, 12, 15)
+FIELD_FACTS = {
+    # delta(2) != 0 with two real zeros within 1e-12 of 2 (1e-11 at n = 3),
+    # none within 1e-15; phi1 has one within 1e-6 of 2, not at 2.
+    ("large_beta_single_mass", 1): {("delta", 2): (0, (2, 2, 2, 0)), ("phi1", 2): (0, (1, 0, 0, 0))},
+    ("large_beta_single_mass", 2): {("delta", 2): (0, (2, 2, 2, 0)), ("phi1", 2): (0, (1, 0, 0, 0))},
+    ("large_beta_single_mass", 3): {("delta", 2): (0, (2, 2, 0, 0)), ("phi1", 2): (0, (1, 0, 0, 0))},
+    # delta(1) != 0 with two real zeros within 1e-15 of 1, and phi1 has an
+    # exact simple zero at 1, at every n; at n = 1 delta has a triple zero
+    # and phi1 a four-fold zero at 2, at n = 2 delta has one real zero within
+    # 1e-9 of 2, at n = 3 one within 1e-6 and none within 1e-9.
+    ("two_points_mixed_orders", 1): {("delta", 1): (0, (2, 2, 2, 2)), ("phi1", 1): (1, (0, 0, 0, 0)),
+                                     ("delta", 2): (3, (0, 0, 0, 0)), ("phi1", 2): (4, (0, 0, 0, 0))},
+    ("two_points_mixed_orders", 2): {("delta", 1): (0, (2, 2, 2, 2)), ("phi1", 1): (1, (0, 0, 0, 0)),
+                                     ("delta", 2): (0, (1, 1, 0, 0))},
+    ("two_points_mixed_orders", 3): {("delta", 1): (0, (2, 2, 2, 2)), ("phi1", 1): (1, (0, 0, 0, 0)),
+                                     ("delta", 2): (0, (1, 0, 0, 0))},
+    ("two_points_mixed_orders", 12): {("delta", 1): (0, (2, 2, 2, 2)), ("phi1", 1): (1, (0, 0, 0, 0))},
+}
 
 
 def _exact_points(product):
@@ -143,3 +169,17 @@ def test_ode_report_holds_exact_ladder(tmp_path, config, n):
             assert len(got) == len(want), (key, bits)
             for g, w in zip(got, want):
                 assert abs(Fraction(g) - w) <= bound * max(1, abs(w)), (key, bits, g, w)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 12])
+@pytest.mark.parametrize("config", SHIPPED_CONFIGS)
+def test_exact_field_structure_at_sources(config, n):
+    # The zeros of delta and phi1 at and near each endpoint and mass point,
+    # exactly: what decides whether a pole of the field lies at a source.
+    with open(os.path.join(CONFIG_DIR, f"{config}.json"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    points = [(Fraction(p["c"]), [(t["k"], Fraction(t["lambda"])) for t in p["terms"]]) for p in doc["points"]]
+    _, structure = exact_field(int(doc["alpha"]), int(doc["beta"]), points, n, FIELD_EXPONENTS)
+    got = {key: (mult, tuple(near[e] for e in FIELD_EXPONENTS)) for key, (mult, near) in structure.items()}
+    facts = FIELD_FACTS.get((config, n), {})
+    assert got == {key: facts.get(key, (0, (0, 0, 0, 0))) for key in got}

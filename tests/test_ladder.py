@@ -1,12 +1,11 @@
 """Tests for the ladder algebra, the q-polynomials, the second-order ODE,
 and the rational-coefficient recurrence."""
 
-import sys
-
+import mpmath
 import pytest
 from mpmath import mp, mpf
 
-from jacobisobolev import ladder, sobolev
+from jacobisobolev import ladder
 from jacobisobolev.jacobi import JacobiParams, classical_ode_residual, gamma1, gamma2
 from jacobisobolev.ladder import (
     apply_lowering,
@@ -17,7 +16,7 @@ from jacobisobolev.ladder import (
     recurrence_residual,
 )
 from jacobisobolev.numkernel import Poly, tol
-from jacobisobolev.sobolev import MassPoint, SobolevProduct, build_family
+from jacobisobolev.sobolev import InternalContradiction, MassPoint, SobolevProduct, build_family
 from oracles import compose_raising, delta_leading_expected, recover_jacobi, shifted_recurrence_residual
 
 
@@ -103,14 +102,14 @@ class TestStructure:
 class TestLadderOperators:
     @pytest.mark.parametrize("which", [0, 1, 2, 3])
     def test_lowering(self, all_families, which):
+        # Within 2^4 of the family's rule: lowering runs inside the guard.
         family = all_families[which]
         for n in range(1, 9):
             ld = build_ladder(family, n)
             got = apply_lowering(ld, family)
             want = family.poly(n - 1)
-            assert (got - want).max_abs_coeff() <= tol(3) * max(
-                want.max_abs_coeff(), mpf(1)
-            )
+            bound = mpmath.ldexp(max(want.max_abs_coeff(), mpf(1)), 4 - family.prec)
+            assert (got - want).max_abs_coeff() <= bound
 
     @pytest.mark.parametrize("which", [0, 1, 2, 3])
     def test_raising(self, all_families, which):
@@ -119,7 +118,8 @@ class TestLadderOperators:
             ld = build_ladder(family, n)
             got = apply_raising(ld, family)
             want = family.poly(n)
-            assert (got - want).max_abs_coeff() <= tol(3) * want.max_abs_coeff()
+            bound = mpmath.ldexp(max(want.max_abs_coeff(), mpf(1)), 4 - family.prec)
+            assert (got - want).max_abs_coeff() <= bound
 
     def test_compose_raising_from_constant(self, intro_family):
         for n in range(1, 7):
@@ -214,8 +214,8 @@ class TestLowestIndex:
 
 
 class TestGuardPrecision:
-    """The family computes everything it stores at 2p, whoever asks first;
-    each threshold reads the precision of its layer."""
+    """The family computes everything it stores at 2p, whoever asks first,
+    and every identity check reads one rule, whatever the precision."""
 
     PRODUCT = SobolevProduct(
         JacobiParams(0, 88), [MassPoint(-2, [(1, 2), (2, 1)]), MassPoint("1.5", [(1, 1)])]
@@ -252,22 +252,59 @@ class TestGuardPrecision:
             assert first.jacobi_cache.prec == second.jacobi_cache.prec == 256
             assert self._stored(first, n) == self._stored(second, n)
 
-    def test_thresholds_read_their_layers_precision(self, monkeypatch):
-        check_tol, ladder_tol = sobolev._check_tol, ladder.tol
-        seen = []
-
-        def recording_check_tol(sder):
-            seen.append((sys._getframe(1).f_code.co_name, mp.prec))
-            return check_tol(sder)
-
-        def recording_tol(frac):
-            seen.append(("ladder", mp.prec))
-            return ladder_tol(frac)
-
-        monkeypatch.setattr(sobolev, "_check_tol", recording_check_tol)
-        monkeypatch.setattr(ladder, "tol", recording_tol)
+    def test_holds_reads_the_familys_p(self):
+        # One rule, |residual| <= 2^-p max(1, size) at the family's p, asked
+        # inside its guard: a residual one part in 2^200 above the bound fails,
+        # and a 256-bit family holds the same residual to 2^-256.
         with mp.workprec(128):
-            family = build_family(self.PRODUCT, 6)
-            family.poly(6)
-            build_ladder(family, 6)
-        assert set(seen) == {("_degree", 256), ("poly", 128), ("ladder", 128)}
+            family = build_family(self.PRODUCT, 2)
+        with mp.workprec(256):
+            wide = build_family(self.PRODUCT, 2)
+        with mp.workprec(128), family.guard():
+            above = 1 + mpmath.ldexp(1, -200)
+            cases = [
+                (mpmath.ldexp(1, -128), mpf("0.5"), True),
+                (mpmath.ldexp(above, -128), mpf("0.5"), False),
+                (-mpmath.ldexp(3, -128), mpf(3), True),
+                (mpmath.ldexp(3 * above, -128), mpf(3), False),
+                (mpmath.ldexp(3, -128), 3 * above, True),
+                (mpf(0), mpf(0), True),
+            ]
+            assert [family.holds(r, size) for r, size, _ in cases] == [answer for _, _, answer in cases]
+        with mp.workprec(256), wide.guard():
+            assert [wide.holds(r, size) for r, size, _ in cases] == [False] * 5 + [True]
+
+    def test_monomial_check_holds_s_to_its_horner_terms(self):
+        # An entry of s_6 off by 2^(8-p) of the sum of |a_i c^i| over the Horner
+        # terms of S_6^(k)(c) raises (it is far inside the old tol(3), 1e-12 at
+        # 128 bits); one off by 2^(-8-p) of it passes.
+        (j, k, _), c = self.PRODUCT.active_pairs[0], None
+        for shift, raises in ((8, True), (-8, False)):
+            with mp.workprec(128):
+                family = build_family(self.PRODUCT, 6)
+                sder = family.deriv_vector(6)
+                with family.guard():
+                    cache, c = family.jacobi_cache, self.PRODUCT.points[j].c
+                    sm = sum((a * cache.poly(nu) for nu, a in enumerate(family.jacobi_coeffs(6))), Poly.zero())
+                    size = Poly([abs(a) for a in sm.deriv(k).coeffs])(abs(c))
+                    sder[0] += mpmath.ldexp(max(1, size), shift - family.prec)
+                if raises:
+                    with pytest.raises(InternalContradiction, match="derivative vector mismatch"):
+                        family.poly(6)
+                else:
+                    family.poly(6)
+
+    def test_exact_div_holds_the_remainder_to_the_rule(self):
+        # num = (x - 2)(x + 3) + e, whose remainder by x - 2 is e: 2^(8-p) of
+        # max|num| raises, 2^(-8-p) passes.
+        with mp.workprec(128):
+            family = build_family(self.PRODUCT, 1)
+        with mp.workprec(128), family.guard():
+            for shift, raises in ((8, True), (-8, False)):
+                e = mpmath.ldexp(6, shift - family.prec)
+                num, den = Poly((e - 6, 1, 1)), Poly((-2, 1))
+                if raises:
+                    with pytest.raises(ladder.StructureError, match="division remainder"):
+                        ladder._exact_div(num, den, family, "test")
+                else:
+                    assert list(ladder._exact_div(num, den, family, "test").coeffs) == [3, 1]

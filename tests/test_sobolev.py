@@ -380,6 +380,41 @@ class TestKernelSolve:
             for nu, (a, b) in enumerate(zip(got, want)):
                 assert abs(a - b) <= tol(2) * max(1, abs(b)), nu
 
+    def test_far_mass_point_holds_its_digits(self):
+        # Orders 0 and 1 at c = 8: K_{m-1}(C, C) grows like 2^(8m), so the
+        # solve's residual cancels far below its terms, yet every stored value
+        # holds; a residual rule relative to |s| alone refused n = 60 at 128 bits.
+        product = SobolevProduct(JacobiParams(0, 0), [MassPoint(8, [(0, 1), (1, 1)])])
+        with mp.workprec(512):
+            family = build_family(product, 60)
+            want = family.deriv_vector(60) + family.jacobi_coeffs(60)
+        with mp.workprec(128):
+            family = build_family(product, 60)
+            family.poly(60)
+            got = family.deriv_vector(60) + family.jacobi_coeffs(60)
+        with mp.workprec(512):
+            assert all(abs(a - b) <= mpmath.ldexp(abs(b), -200) for a, b in zip(got, want))
+
+    def test_close_mass_points_raise_where_the_guard_runs_out(self):
+        # Mass points 2^-50 apart: the second Cholesky pivot cancels about 78
+        # bits at n = 10, more than the 64 bits the guard holds beyond p = 64,
+        # where the stored values would keep about 50 bits.  At p = 128 they
+        # keep about 178 and agree with a 512-bit build.
+        def product():
+            points = (5, 5 + mpmath.ldexp(1, -50))
+            return SobolevProduct(JacobiParams(0, 1), [MassPoint(c, [(0, mpf(10) ** 6)]) for c in points])
+
+        with mp.workprec(64), pytest.raises(sobolev.InternalContradiction, match="pivot 1 below 2\\^-64"):
+            build_family(product(), 10).deriv_vector(10)
+        with mp.workprec(512):
+            family = build_family(product(), 10)
+            want = family.deriv_vector(10) + family.jacobi_coeffs(10)
+        with mp.workprec(128):
+            family = build_family(product(), 10)
+            got = family.deriv_vector(10) + family.jacobi_coeffs(10)
+        with mp.workprec(512):
+            assert all(abs(a - b) <= mpmath.ldexp(abs(b), -160) for a, b in zip(got, want))
+
     def test_one_factorisation_per_degree(self, monkeypatch, ex2_product):
         # Building the family solves nothing; each degree read is factored
         # once, on its first read.

@@ -16,7 +16,13 @@ reports.  The ops, the configs and the checks come from the checkout's
 and the program from its `src/`.  Each op's record holds its outcome (ok,
 exit2, exit3, uncaught or wrong), its correct digits where the check gives
 them, a hash of its report, its stderr and, for `zeros`, the roots it
-reported.
+reported.  Where the checkout has `SobolevFamily.holds`, the one threshold
+rule of the identity alarms, `run` wraps it and records for each op the
+lowest and highest margin of each alarm, log2(2^-p max(1, |size|) /
+|residual|) in bits, keyed by the calling function and the alarm's `what`
+(or, where the caller has none, the line number of the call).  An identity
+alarm fires below 0; the solve's pivot check, which fires where its pivot
+ratio holds, fires at 0 or above.
 Generated configs go to `CHECKOUT/.op_parity_work/`.
 
 `diff` pairs the ops of two records by (seed, op id), prints every change of
@@ -26,7 +32,8 @@ it prints every op whose stderr changed but whose outcome did not, counts
 the changed reports and stderrs per command, and exits 1 when an op's outcome
 gets worse, its digits drop by more than MAX_DIGIT_DROP, or a shipped-config
 report with the same outcome differs from the base's beyond tol(2)
-(`checks.diff_reports`).
+(`checks.diff_reports`).  It also prints, for each alarm, the lowest and
+highest margin over all ops on each side and the ops where they fall.
 
 `referee` reruns every generated `zeros` op whose outcome got worse or moved
 to ok, whose digits dropped or whose report changed, in the checkout
@@ -87,18 +94,50 @@ def run_op(main, argv):
     return {0: "ok", 2: "exit2", 3: "exit3"}.get(code, "uncaught"), out.getvalue(), err.getvalue()
 
 
+def alarm_name(frame) -> str:
+    """caller:what of a `holds` call from `frame`: the caller's `what` where it
+    has one, else the line number of the call."""
+    what = frame.f_locals.get("what")
+    return f"{frame.f_code.co_name}:{what if isinstance(what, str) else frame.f_lineno}"
+
+
+def record_margins(family_class) -> dict:
+    """Wrap family_class.holds so that each call widens the dict's [lowest,
+    highest] entry for its alarm by log2(2^-p max(1, |size|) / |residual|) in
+    bits; return the dict, which the caller empties between ops."""
+    import mpmath
+
+    margins = {}
+    holds = family_class.holds
+
+    def recording(self, residual, size):
+        with mpmath.workprec(53):
+            r, s = abs(residual), max(1, abs(size))
+            margin = float(mpmath.log(s, 2) - mpmath.log(r, 2)) - self.prec if r else float("inf")
+        name = alarm_name(sys._getframe(1))
+        lo, hi = margins.get(name, (margin, margin))
+        margins[name] = [min(lo, margin), max(hi, margin)]
+        return holds(self, residual, size)
+
+    family_class.holds = recording
+    return margins
+
+
 def run(args) -> int:
     root = os.path.abspath(args.root)
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
     import checks
     import workloads
     from jacobisobolev import cli
+    from jacobisobolev.sobolev import SobolevFamily
     from mpmath import mp
 
+    margins = record_margins(SobolevFamily) if hasattr(SobolevFamily, "holds") else {}
     work = os.path.join(root, ".op_parity_work")
     records = []
     for seed in seed_range(args.seeds):
         for op in workloads.materialise(workloads.STREAM, seed, work):
+            margins.clear()
             start = time.perf_counter()
             outcome, report, stderr = run_op(cli.main, op["argv"])
             seconds = time.perf_counter() - start
@@ -123,6 +162,7 @@ def run(args) -> int:
                 "stderr": stderr,
                 "problems": problems,
                 "seconds": seconds,
+                "margins": dict(margins),
             }
             if op["command"] == "zeros" and outcome in ("ok", "wrong"):
                 record["roots"] = [[r["re"], r["im"]] for r in json.loads(report)["roots"]]
@@ -137,6 +177,7 @@ def run(args) -> int:
             for n in degrees:
                 for bits in SHIPPED_PRECISIONS:
                     argv = [command, "--config", config, "--n", str(n), "--precision", str(bits)]
+                    margins.clear()
                     start = time.perf_counter()
                     outcome, report, stderr = run_op(cli.main, argv)
                     records.append(
@@ -152,6 +193,7 @@ def run(args) -> int:
                             "stderr": stderr,
                             "problems": [],
                             "seconds": time.perf_counter() - start,
+                            "margins": dict(margins),
                         }
                     )
     shipped = [r for r in records if r["seed"] is None]
@@ -196,6 +238,17 @@ def root_move(base_roots, new_roots) -> str:
         return f"largest root move {mpmath.nstr(move, 3)}"
 
 
+def margin_range(records) -> dict:
+    """alarm -> [(lowest margin in bits, op), (highest, op)] over a run record."""
+    out = {}
+    for (seed, op_id), r in sorted(records.items()):
+        where = f"seed {seed} {op_id}" if seed else op_id
+        for alarm, (lo, hi) in r.get("margins", {}).items():
+            old = out.setdefault(alarm, [(lo, where), (hi, where)])
+            out[alarm] = [min(old[0], (lo, where)), max(old[1], (hi, where))]
+    return out
+
+
 def diff(args) -> int:
     sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
     import checks
@@ -228,6 +281,11 @@ def diff(args) -> int:
         if n["outcome"] == b["outcome"] and n.get("stderr", "") != b.get("stderr", ""):
             changed_stderr.setdefault(n["command"], []).append(where)
             print(f"stderr: {where}: {b.get('stderr', '')!r} -> {n.get('stderr', '')!r}")
+    ranges = {"base": margin_range(base), "new": margin_range(new)}
+    for alarm in sorted(ranges["base"].keys() | ranges["new"].keys()):
+        sides = [f"{side} " + (", ".join(f"{m:.1f} bits ({op})" for m, op in ranges[side][alarm])
+                               if alarm in ranges[side] else "-") for side in ranges]
+        print(f"margin {alarm}, lowest and highest: " + "; ".join(sides))
     missing = base.keys() ^ new.keys()
     print(f"{len(base.keys() & new.keys())} ops paired, {len(missing)} unpaired")
     for command in sorted({r["command"] for r in new.values()}):
