@@ -31,7 +31,7 @@ from .ladder import (
     ode_residual,
     recurrence_residual,
 )
-from .numkernel import NumKernelError, precision_digits, tol
+from .numkernel import NumKernelError, precision_digits, relative_residual, tol
 from .sobolev import (
     MassPoint,
     SobolevError,
@@ -241,49 +241,51 @@ def cmd_electro(cfg: dict) -> dict:
 
 
 def _orthogonality_defects(family, n: int) -> list:
-    """|<S_m, S_j>_s| / <S_m, S_m>_s for j < m <= min(n, 8), taken inside the
-    guard, so that they measure the stored S_m and not the rounding of the sums."""
+    """The cosines |<S_m, S_j>_s| / sqrt(<S_m, S_m>_s <S_j, S_j>_s) for j < m <= min(n, 8),
+    whose denominator bounds the terms of the inner product (Cauchy-Schwarz), taken inside
+    the guard, so that they measure the stored S_m and not the rounding of the sums."""
     product, cache = family.product, family.jacobi_cache
-    defects = []
+    defects, norms = [], []
     with family.guard():
         for m in range(min(n, 8) + 1):
             sm = family.poly(m)
-            scale = inner_sobolev(sm, sm, product, cache)
-            defects += [abs(inner_sobolev(sm, family.poly(j), product, cache)) / scale for j in range(m)]
+            norms.append(inner_sobolev(sm, sm, product, cache))
+            defects += [abs(inner_sobolev(sm, family.poly(j), product, cache)) / mpmath.sqrt(norms[m] * norms[j])
+                        for j in range(m)]
     return defects
 
 
 def _round_trip(family, m: int) -> list:
-    """Lowering S_m and raising S_{m-1}, each against its target, relative to S_m."""
+    """Lowering S_m and raising S_{m-1}, each against its target, in the guard."""
     ld = build_ladder(family, m)
-    pair = (apply_lowering(ld, family) - family.poly(m - 1), apply_raising(ld, family) - family.poly(m))
-    return [r.max_abs_coeff() / family.poly(m).max_abs_coeff() for r in pair]
+    lowered, raised = apply_lowering(ld, family), apply_raising(ld, family)
+    with family.guard():
+        return [relative_residual([lowered, -family.poly(m - 1)]), relative_residual([raised, -family.poly(m)])]
 
 
 def cmd_verify(cfg: dict) -> dict:
-    """Run every invariant suite on the configured product at degree n.  A row
-    (name, runs, residuals, bound, failure, label) passes when its largest
-    residual is within bound; the ordering probe has no bound and returns its detail."""
+    """Run every invariant suite on the configured product at degree n.  A row (name, runs,
+    residuals, bound, failure, label) passes when its largest residual holds family.holds
+    (an identity, bound None) or is within bound; the ordering probe returns its detail."""
     product, n = cfg["product"], cfg["n"]
     family = build_family(product, n)
-    rel = tol(4)
     suites = [
         ("classical_jacobi_ode", True,
          lambda: [classical_ode_residual(family.jacobi_cache, m) for m in range(n + 1)],
-         rel, "classical ODE residual", "max residual"),
+         None, "classical ODE residual", "max residual"),
         ("sobolev_orthogonality", True, lambda: _orthogonality_defects(family, n),
-         rel, "orthogonality defect", "max relative defect"),
+         None, "orthogonality defect", "max relative defect"),
         ("ladder_operators", n >= 2, lambda: [r for m in range(2, n + 1) for r in _round_trip(family, m)],
-         rel, "ladder round-trip residual", "max ladder residual"),
+         None, "ladder round-trip residual", "max ladder residual"),
         ("second_order_ode", n >= 2,
          lambda: [ode_residual(build_ladder(family, m), family) for m in range(2, n + 1)],
-         rel, "ODE residual", "max ODE residual"),
+         None, "ODE residual", "max ODE residual"),
         ("rational_recurrence", n >= 3, lambda: [recurrence_residual(family, m) for m in range(2, n)],
-         rel, "recurrence residual", "max recurrence residual"),
+         None, "recurrence residual", "max recurrence residual"),
         ("electrostatic_critical_point", n >= 2 and product.d_star > 0,
          lambda: [abs(g) for g in gradient(decompose_field(build_ladder(family, n), family),
                                            zeros_of(family, n).real_roots)],
-         rel * n, "gradient at zeros", "max gradient component"),
+         tol(4) * n, "gradient at zeros", "max gradient component"),
         ("sequential_ordering_probe", True,
          lambda: f"sequentially_ordered={is_sequentially_ordered(product)[0]}", None, None, None),
     ]
@@ -292,11 +294,11 @@ def cmd_verify(cfg: dict) -> dict:
         if not runs:
             continue
         try:
-            if bound is None:
+            if label is None:
                 detail = residuals()
             else:
                 worst = max(residuals(), default=0)
-                if worst > bound:
+                if not (family.holds(worst, 1) if bound is None else worst <= bound):
                     raise StructureError(f"{failure} {worst}")
                 detail = f"{label} {_fmt(worst)}"
             checks.append({"name": name, "passed": True, "detail": detail})

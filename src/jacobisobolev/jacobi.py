@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import mpmath
 from mpmath import mp, mpf
 
-from .numkernel import FixedPointSeries, Poly
+from .numkernel import FixedPointSeries, Poly, relative_residual
 
 
 class InvalidMeasure(Exception):
@@ -177,12 +177,10 @@ def raise_over_gamma2(params: JacobiParams, n: int) -> mpf:
 
 
 def classical_ode_residual(cache: JacobiCache, n: int) -> mpf:
-    """Max |coefficient| of (1-x^2)P_n'' + (b-a-(a+b+2)x)P_n' + n(n+a+b+1)P_n."""
+    """Relative residual of (1-x^2)P_n'' + (b-a-(a+b+2)x)P_n' + n(n+a+b+1)P_n,
+    taken at the cache's precision, where P_n is stored."""
     a, b = cache.params.alpha, cache.params.beta
     p = cache.poly(n)
-    lhs = (
-        Poly((1, 0, -1)) * p.deriv(2)
-        + Poly((b - a, -(a + b + 2))) * p.deriv()
-        + (n * (n + a + b + 1)) * p
-    )
-    return lhs.max_abs_coeff()
+    with mp.workprec(cache.prec):
+        terms = [Poly((1, 0, -1)) * p.deriv(2), Poly((b - a, -(a + b + 2))) * p.deriv(), (n * (n + a + b + 1)) * p]
+        return relative_residual(terms)

@@ -17,7 +17,7 @@ import mpmath
 from mpmath import mpf
 
 from .jacobi import ladder_coeffs, raise_over_gamma2
-from .numkernel import Poly
+from .numkernel import Poly, relative_residual
 from .sobolev import SobolevFamily
 
 
@@ -245,25 +245,23 @@ def apply_raising(ld: LadderData, family: SobolevFamily) -> Poly:
 
 
 def ode_residual(ld: LadderData, family: SobolevFamily) -> mpf:
-    """Relative coefficient norm of P2 S_n'' + P1 S_n' + P0 S_n."""
+    """Relative residual of P2 S_n'' + P1 S_n' + P0 S_n, taken inside the
+    family's guard, where the ODE and S_n are stored."""
     sn = family.poly(ld.n)
-    terms = [ld.P2 * sn.deriv(2), ld.P1 * sn.deriv(), ld.P0 * sn]
-    resid = terms[0] + terms[1] + terms[2]
-    scale = max(t.max_abs_coeff() for t in terms)
-    return resid.max_abs_coeff() / max(scale, mpf(1))
+    with family.guard():
+        return relative_residual([ld.P2 * sn.deriv(2), ld.P1 * sn.deriv(), ld.P0 * sn])
 
 
 def recurrence_residual(family: SobolevFamily, n: int) -> mpf:
     """Relative residual of the rational three-term recurrence at index n,
-    in the statement form with q_{1,n}."""
+    in the statement form with q_{1,n}, taken inside the family's guard."""
     if n < 1:
         raise ValueError("recurrence needs n >= 1")
     ld_n = build_ladder(family, n)
     ld_n1 = build_ladder(family, n + 1)
     s_prev, s_cur, s_next = family.poly(n - 1), family.poly(n), family.poly(n + 1)
-    lhs = ld_n1.q4 * ld_n.q0 * s_next
-    mid = (ld_n1.q3 * ld_n.q0 - ld_n.q2 * ld_n1.q0) * s_cur
-    low = ld_n.q1 * ld_n1.q0 * s_prev
-    resid = lhs - mid - low
-    scale = max(lhs.max_abs_coeff(), mid.max_abs_coeff(), low.max_abs_coeff(), mpf(1))
-    return resid.max_abs_coeff() / scale
+    with family.guard():
+        top = ld_n1.q4 * ld_n.q0 * s_next
+        mid = (ld_n.q2 * ld_n1.q0 - ld_n1.q3 * ld_n.q0) * s_cur
+        low = -(ld_n.q1 * ld_n1.q0 * s_prev)
+        return relative_residual([top, mid, low])

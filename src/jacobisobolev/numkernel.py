@@ -252,6 +252,13 @@ def _integers(coeffs: Sequence) -> tuple:
     return [(-man if sign else man) << (exp - e) if man else 0 for sign, man, exp, _ in raws], e
 
 
+def relative_residual(terms: Sequence[Poly]) -> mpf:
+    """max |coeff(sum of terms)| / max(1, largest |coeff| of any term): what
+    is left of polynomial terms that cancel, relative to their size."""
+    resid = sum(terms, Poly.zero()).max_abs_coeff()
+    return resid / max(mpf(1), *(t.max_abs_coeff() for t in terms))
+
+
 def sym_eigen(M: mpmath.matrix) -> list:
     """Eigenvalues of a symmetric matrix (mpmath's ``eigsy``), sorted ascending."""
     try:
@@ -260,31 +267,21 @@ def sym_eigen(M: mpmath.matrix) -> list:
         raise EigenFailure(str(exc)) from exc
 
 
-def _cholesky(M: Sequence[Sequence]):
-    """Rows of the lower Cholesky factor of the symmetric M, given as a list
-    of rows, or None where a pivot is not strictly positive.  Each inner
-    product is summed exactly by mpmath.fdot and then rounded.
-    (mpmath.cholesky instead rejects every pivot below an absolute epsilon.)"""
-    n = len(M)
+def cholesky(A: Sequence[Sequence]) -> list:
+    """Rows of the lower Cholesky factor of the symmetric A, given as rows;
+    SingularSystem where a pivot is not strictly positive.  Each inner product is summed exactly by
+    mpmath.fdot, then rounded (mpmath.cholesky rejects every pivot below an absolute epsilon)."""
+    n = len(A)
     L = [[mpf(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1):
-            s = M[i][j] - mpmath.fdot(L[i][:j], L[j][:j])
+            s = A[i][j] - mpmath.fdot(L[i][:j], L[j][:j])
             if i == j:
                 if s <= 0:
-                    return None
+                    raise SingularSystem("matrix is not positive definite")
                 L[i][i] = mpmath.sqrt(s)
             else:
                 L[i][j] = s / L[j][j]
-    return L
-
-
-def cholesky(A: Sequence[Sequence]) -> list:
-    """The rows of the lower Cholesky factor of the symmetric A; raises
-    SingularSystem where a pivot is not strictly positive."""
-    L = _cholesky(A)
-    if L is None:
-        raise SingularSystem("matrix is not positive definite")
     return L
 
 
@@ -309,7 +306,11 @@ def solve_dense(A: Sequence[Sequence], b: Sequence, factor: list | None = None) 
 def cholesky_pd(M: Sequence[Sequence]) -> bool:
     """True iff the symmetric M, given as a list of rows, admits a Cholesky
     factorization with strictly positive pivots."""
-    return _cholesky(M) is not None
+    try:
+        cholesky(M)
+    except SingularSystem:
+        return False
+    return True
 
 
 def poly_roots(p: Poly) -> list:

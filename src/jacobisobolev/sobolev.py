@@ -238,9 +238,10 @@ class SobolevFamily:
     def holds(self, residual: mpf, size: mpf) -> bool:
         """The one threshold rule of the identity checks: |residual| <=
         2^-p max(1, size) at the family's p, where size is the magnitude of
-        the terms that cancel to the residual.  Callers ask inside the guard,
-        where abs() and the shift by p are exact."""
-        return abs(residual) <= mpmath.ldexp(max(mpf(1), size), -self.prec)
+        the terms that cancel to the residual.  It is read in the guard, where
+        abs() and the shift by p are exact, wherever it is asked."""
+        with self.guard():
+            return abs(residual) <= mpmath.ldexp(max(mpf(1), size), -self.prec)
 
     def deriv_vector(self, m: int) -> list:
         return self._degree(m)[0]

@@ -226,12 +226,13 @@ class TestCriterion05:
 class TestCriterion06:
     @pytest.mark.parametrize("which", [0, 1, 2, 3])
     def test_ode_residuals(self, all_families, which):
-        """ODE residual below 10^-(precision_digits/4) of the term scale
-        for every example product and 2 <= n <= 12."""
+        """ODE residual, relative to the terms that cancel, within 2^-p
+        (the rule of SobolevFamily.holds) for every example product and
+        2 <= n <= 12."""
         family = all_families[which]
         for n in range(2, 13):
             ld = build_ladder(family, n)
-            assert ode_residual(ld, family) <= tol(4), n
+            assert family.holds(ode_residual(ld, family), 1), n
 
 
 class TestCriterion07:

@@ -158,7 +158,8 @@ class TestCommands:
         rc = main(["ode", "--config", write_config(tmp_path, doc)])
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
-        assert mpf(report["ode_residual"]) < mpf("1e-19")
+        # Taken in the guard at 2p = 512 bits, where the ODE is stored.
+        assert mpf(report["ode_residual"]) <= mpmath.ldexp(1, -256)
         assert len(report["q0"]) == 2 * 2 + 3  # degree 2d+2 => 2d+3 coefficients
 
     def test_verify_passes(self, tmp_path, capsys):
@@ -168,6 +169,17 @@ class TestCommands:
         report = json.loads(capsys.readouterr().out)
         assert report["all_passed"] is True
         assert all(c["passed"] for c in report["checks"])
+
+    @pytest.mark.parametrize("shift,passed", [(8, False), (-8, True)])
+    def test_verify_judges_identities_by_the_rule(self, capsys, monkeypatch, shift, passed):
+        # An identity suite passes when its residual holds 2^-p
+        # (SobolevFamily.holds): 2^8 above it fails, 2^8 below it passes.
+        monkeypatch.setattr(cli, "ode_residual", lambda ld, family: mpmath.ldexp(1, shift - family.prec))
+        path = os.path.join(CONFIG_DIR, "legendre_saddle.json")
+        assert main(["verify", "--config", path, "--n", "3", "--precision", "128"]) == (0 if passed else 3)
+        checks = {c["name"]: c["passed"] for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert checks.pop("second_order_ode") is passed
+        assert all(checks.values())
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
     @pytest.mark.parametrize("config", ["legendre_saddle", "no_masses"])

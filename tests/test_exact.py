@@ -11,11 +11,12 @@ import json
 import os
 from fractions import Fraction
 
+import mpmath
 import pytest
 from mpmath import mp, mpf
 
 from jacobisobolev import JacobiParams, MassPoint, SobolevProduct, build_family
-from jacobisobolev.cli import main
+from jacobisobolev.cli import _orthogonality_defects, main
 from jacobisobolev.numkernel import precision_digits, tol
 from jacobisobolev.sobolev import zeros_of
 
@@ -183,3 +184,35 @@ def test_exact_field_structure_at_sources(config, n):
     got = {key: (mult, tuple(near[e] for e in FIELD_EXPONENTS)) for key, (mult, near) in structure.items()}
     facts = FIELD_FACTS.get((config, n), {})
     assert got == {key: facts.get(key, (0, (0, 0, 0, 0))) for key in got}
+
+
+def test_orthogonality_cosines_hold_the_rule_at_64_bits(tmp_path):
+    # Masses of 0.5 to 100 at three points, one on the endpoint -1, at 64
+    # bits: each Sobolev cosine of S_0..S_8 holds 2^-64, and S_m, stored at
+    # 2p and printed, matches the exact S_m.  A defect relative to
+    # <S_m, S_m>_s alone reads 2.3 bits above 2^-64 here.
+    alpha, beta = 0, 91
+    points = [("-1", [(0, "2"), (1, "0.5")]), ("1.25", [(0, "100"), (2, "2")]), ("1.5", [(1, "100")])]
+    with mp.workprec(64):
+        product = SobolevProduct(JacobiParams(alpha, beta), [MassPoint(mpf(c), [(k, mpf(lam)) for k, lam in terms])
+                                                             for c, terms in points])
+        family = build_family(product, 8)
+        assert max(_orthogonality_defects(family, 8)) <= mpmath.ldexp(1, -64)
+    exact_points = [(Fraction(c), [(k, Fraction(lam)) for k, lam in terms]) for c, terms in points]
+    doc = {"alpha": "0", "beta": "91", "precision_bits": 64,
+           "points": [{"c": c, "terms": [{"k": k, "lambda": lam} for k, lam in terms]} for c, terms in points]}
+    path = str(tmp_path / "product.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    out = str(tmp_path / "polys.json")
+    with mp.workprec(64):
+        printed = Fraction(1, 10 ** (precision_digits() - 1))
+    for m in range(9):
+        want = exact_monomial(alpha, beta, exact_jacobi_row(alpha, beta, exact_points, m))
+        stored = [Fraction(*mpmath.libmp.to_rational(g._mpf_)) for g in family.poly(m).coeffs]
+        assert all(abs(g - w) <= Fraction(1, 10**37) * max(1, abs(w)) for g, w in zip(stored, want)), m
+        assert main(["polys", "--config", path, "--n", str(m), "--out", out]) == 0
+        with open(out, encoding="utf-8") as fh:
+            got = json.load(fh)["coefficients"]
+        assert len(got) == len(want)
+        assert all(abs(Fraction(g) - w) <= printed * max(1, abs(w)) for g, w in zip(got, want)), m

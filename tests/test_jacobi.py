@@ -1,9 +1,12 @@
 """Tests for the monic Jacobi family and its classical ladder."""
 
+import os
+
 import mpmath
 import pytest
-from mpmath import mpf
+from mpmath import mp, mpf
 
+from jacobisobolev.cli import load_config
 from jacobisobolev.jacobi import (
     InvalidMeasure,
     JacobiParams,
@@ -15,7 +18,10 @@ from jacobisobolev.jacobi import (
     raise_over_gamma2,
 )
 from jacobisobolev.numkernel import Poly, series_values, sym_eigen, tol
+from jacobisobolev.sobolev import build_family
 from oracles import jacobi_at_one, log_norm
+
+CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 
 PARAM_SETS = [(0, 0), (0, 100), (0, 110), (mpf("0.5"), mpf("-0.3")), (2, 3)]
 
@@ -195,7 +201,16 @@ class TestLadder:
 class TestClassicalODE:
     @pytest.mark.parametrize("a,b", PARAM_SETS)
     def test_residual_vanishes(self, a, b):
+        # Relative to the terms that cancel, at the cache's precision, where
+        # it sits within a few roundings of 2^-prec.
         cache = build_jacobi(JacobiParams(a, b), 8)
         for n in range(9):
-            scale = max(cache.poly(n).max_abs_coeff(), mpf(1)) * (n * n + 1)
-            assert classical_ode_residual(cache, n) <= tol(2) * scale
+            assert classical_ode_residual(cache, n) <= mpmath.ldexp(1, 4 - cache.prec)
+
+    def test_residual_taken_at_the_cache_precision(self):
+        # The family stores P_n at 2p, and the residual is taken there: far
+        # inside 2^-p, which a residual taken at p could not reach.
+        with mp.workprec(128):
+            cfg = load_config(os.path.join(CONFIG_DIR, "large_beta_single_mass.json"), precision_override=128)
+            family = build_family(cfg["product"], 24)
+            assert classical_ode_residual(family.jacobi_cache, 24) <= mpmath.ldexp(1, -128)

@@ -134,7 +134,7 @@ class TestODE:
         family = all_families[which]
         for n in range(2, 9):
             ld = build_ladder(family, n)
-            assert ode_residual(ld, family) <= tol(4)
+            assert family.holds(ode_residual(ld, family), 1)
 
     def test_leading_degree(self, ex1_family):
         ld = build_ladder(ex1_family, 5)
@@ -192,7 +192,7 @@ class TestRecurrence:
     def test_statement_form_holds(self, all_families, which):
         family = all_families[which]
         for n in range(2, 7):
-            assert recurrence_residual(family, n) <= tol(4)
+            assert family.holds(recurrence_residual(family, n), 1)
 
     def test_shifted_variant_fails(self, intro_family):
         # The index-shifted q1 variant is materially wrong, not a typo-level
@@ -253,9 +253,10 @@ class TestGuardPrecision:
             assert self._stored(first, n) == self._stored(second, n)
 
     def test_holds_reads_the_familys_p(self):
-        # One rule, |residual| <= 2^-p max(1, size) at the family's p, asked
-        # inside its guard: a residual one part in 2^200 above the bound fails,
-        # and a 256-bit family holds the same residual to 2^-256.
+        # One rule, |residual| <= 2^-p max(1, size) at the family's p, read
+        # inside its guard whatever the caller's precision: a residual one part
+        # in 2^200 above the bound fails, also asked at 53 bits, and a 256-bit
+        # family holds the same residual to 2^-256.
         with mp.workprec(128):
             family = build_family(self.PRODUCT, 2)
         with mp.workprec(256):
@@ -270,6 +271,8 @@ class TestGuardPrecision:
                 (mpmath.ldexp(3, -128), 3 * above, True),
                 (mpf(0), mpf(0), True),
             ]
+            assert [family.holds(r, size) for r, size, _ in cases] == [answer for _, _, answer in cases]
+        with mp.workprec(53):
             assert [family.holds(r, size) for r, size, _ in cases] == [answer for _, _, answer in cases]
         with mp.workprec(256), wide.guard():
             assert [wide.holds(r, size) for r, size, _ in cases] == [False] * 5 + [True]

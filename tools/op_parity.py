@@ -20,9 +20,9 @@ reported.  Where the checkout has `SobolevFamily.holds`, the one threshold
 rule of the identity alarms, `run` wraps it and records for each op the
 lowest and highest margin of each alarm, log2(2^-p max(1, |size|) /
 |residual|) in bits, keyed by the calling function and the alarm's `what`
-(or, where the caller has none, the line number of the call).  An identity
-alarm fires below 0; the solve's pivot check, which fires where its pivot
-ratio holds, fires at 0 or above.
+(for `cmd_verify`, the suite's name; where the caller has neither, the line
+number of the call).  An identity alarm fires below 0; the solve's pivot
+check, which fires where its pivot ratio holds, fires at 0 or above.
 Generated configs go to `CHECKOUT/.op_parity_work/`.
 
 `diff` pairs the ops of two records by (seed, op id), prints every change of
@@ -96,8 +96,9 @@ def run_op(main, argv):
 
 def alarm_name(frame) -> str:
     """caller:what of a `holds` call from `frame`: the caller's `what` where it
-    has one, else the line number of the call."""
-    what = frame.f_locals.get("what")
+    has one, else its `name` (the suite of a `cmd_verify` call), else the line
+    number of the call."""
+    what = frame.f_locals.get("what", frame.f_locals.get("name"))
     return f"{frame.f_code.co_name}:{what if isinstance(what, str) else frame.f_lineno}"
 
 
