@@ -8,15 +8,7 @@ functions it traces.
 
 from .electrostatics import ElectroError, FieldDecomposition, classify, decompose_field, gradient
 from .jacobi import InvalidMeasure, JacobiParams, classical_ode_residual
-from .ladder import (
-    LadderData,
-    StructureError,
-    apply_lowering,
-    apply_raising,
-    build_ladder,
-    ode_residual,
-    recurrence_residual,
-)
+from .ladder import LadderData, StructureError, build_ladder, ladder_residual, ode_residual, recurrence_residual
 from .numkernel import NumKernelError, Poly, precision_digits, tol
 from .sobolev import (
     MassPoint,
@@ -42,8 +34,6 @@ __all__ = [
     "SobolevFamily",
     "SobolevProduct",
     "StructureError",
-    "apply_lowering",
-    "apply_raising",
     "build_family",
     "build_ladder",
     "classical_ode_residual",
@@ -52,6 +42,7 @@ __all__ = [
     "gradient",
     "inner_sobolev",
     "is_sequentially_ordered",
+    "ladder_residual",
     "ode_residual",
     "precision_digits",
     "recurrence_residual",

@@ -327,16 +327,21 @@ class ElectroReport:
     warnings: list
 
 
-def classify(fd: FieldDecomposition, family: SobolevFamily, n: int) -> ElectroReport:
-    """Evaluate gradient/Hessian at the zeros of S_n and classify them."""
+def simple_zeros(family: SobolevFamily, n: int) -> list:
+    """The zeros of S_n in ascending order, the charges whose energy is read;
+    ZerosNotSimple where one is nonreal or two lie within tol(2)."""
     roots = family.zeros(n)
     if any(im != 0 for _, im in roots):
         raise ZerosNotSimple("S_n has nonreal zeros")
     zeros = sorted(re for re, _ in roots)
-    for a, b in zip(zeros, zeros[1:]):
-        if b - a <= tol(2):
-            raise ZerosNotSimple("S_n has (numerically) multiple zeros")
+    if any(b - a <= tol(2) for a, b in zip(zeros, zeros[1:])):
+        raise ZerosNotSimple("S_n has (numerically) multiple zeros")
+    return zeros
 
+
+def classify(fd: FieldDecomposition, family: SobolevFamily, n: int) -> ElectroReport:
+    """Evaluate gradient/Hessian at the zeros of S_n and classify them."""
+    zeros = simple_zeros(family, n)
     grad = gradient(fd, zeros)
     grad_norm = max(abs(g) for g in grad)
     H = hessian(fd, zeros)

@@ -1,12 +1,14 @@
 """Ladder structure for Jacobi-Sobolev polynomials: the 2x2 connection
 system between (S_n, S_{n-1}) and (P_n, P_{n-1}), its determinants, the
-five q-polynomials, the first-order ladder operators, the second-order ODE
-with polynomial coefficients, and the rational-coefficient recurrence.
+five q-polynomials, the second-order ODE with polynomial coefficients, and
+the rational-coefficient recurrence.
 
-Each identity (Delta / rho, Delta_i / rho_(d-N), the derivative connection,
-lowering and raising) is checked inside the family's guard by its one rule,
-SobolevFamily.holds: what the cancellation of the theory leaves must hold to
-2^-p of the numerator.
+Each identity the bundle is built from (Delta / rho, Delta_i / rho_(d-N) and
+the derivative connection) is checked inside the family's guard by its one
+rule, SobolevFamily.holds: what the cancellation of the theory leaves must
+hold to 2^-p of the numerator.  The first-order ladder operators, the ODE
+and the recurrence are product identities; their residuals are measured
+here and judged by the caller.
 """
 
 from __future__ import annotations
@@ -230,26 +232,22 @@ def _build_ladder(family: SobolevFamily, n: int) -> LadderData:
         )
 
 
-def apply_lowering(ld: LadderData, family: SobolevFamily) -> Poly:
-    """S_{n-1} = (q2 S_n + q0 S_n') / q1, divided exactly inside the guard."""
-    sn = family.poly(ld.n)
-    with family.guard():
-        return _exact_div(ld.q2 * sn + ld.q0 * sn.deriv(), ld.q1, family, "lowering")
-
-
-def apply_raising(ld: LadderData, family: SobolevFamily) -> Poly:
-    """S_n = (q3 S_{n-1} + q0 S_{n-1}') / q4, as apply_lowering."""
-    sm = family.poly(ld.n - 1)
-    with family.guard():
-        return _exact_div(ld.q3 * sm + ld.q0 * sm.deriv(), ld.q4, family, "raising")
-
-
 def ode_residual(ld: LadderData, family: SobolevFamily) -> mpf:
     """Relative residual of P2 S_n'' + P1 S_n' + P0 S_n, taken inside the
     family's guard, where the ODE and S_n are stored."""
     sn = family.poly(ld.n)
     with family.guard():
         return relative_residual([ld.P2 * sn.deriv(2), ld.P1 * sn.deriv(), ld.P0 * sn])
+
+
+def ladder_residual(ld: LadderData, family: SobolevFamily) -> mpf:
+    """The larger relative residual of the lowering identity
+    q1 S_{n-1} = q2 S_n + q0 S_n' and the raising identity
+    q4 S_n = q3 S_{n-1} + q0 S_{n-1}', taken inside the family's guard."""
+    sn, sm = family.poly(ld.n), family.poly(ld.n - 1)
+    with family.guard():
+        return max(relative_residual([ld.q1 * sm, -(ld.q2 * sn), -(ld.q0 * sn.deriv())]),
+                   relative_residual([ld.q4 * sn, -(ld.q3 * sm), -(ld.q0 * sm.deriv())]))
 
 
 def recurrence_residual(family: SobolevFamily, n: int) -> mpf:

@@ -209,15 +209,6 @@ class Poly:
     def __hash__(self):
         return hash(self.coeffs)
 
-    def __pow__(self, exp: int) -> "Poly":
-        if exp < 0:
-            raise ValueError("negative polynomial powers are not defined")
-        out = Poly.one()
-        base = self
-        for _ in range(exp):
-            out = out * base
-        return out
-
     def deriv(self, k: int = 1) -> "Poly":
         p = self
         for _ in range(k):

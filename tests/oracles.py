@@ -93,16 +93,15 @@ def quasi_orthogonality_check(family: SobolevFamily, n: int) -> mpf:
     d = product.d
     if n <= d:
         raise NotApplicable(f"quasi-orthogonality needs n > d (= {d})")
+    # (x - c)^m for c <= -1 and (c - x)^m = (-1)^m (x - c)^m otherwise.
     rho_hat = Poly.one()
     for p in product.points:
-        if p.c <= -1:
-            rho_hat = rho_hat * Poly((-p.c, 1)) ** (p.max_order + 1)
-        else:
-            rho_hat = rho_hat * Poly((p.c, -1)) ** (p.max_order + 1)
+        m = p.max_order + 1
+        rho_hat = rho_hat * Poly.from_roots([p.c] * m) * (1 if p.c <= -1 else (-1) ** m)
     sn = family.poly(n)
     worst = mpf(0)
     for i in range(n - d):
-        val = abs(inner_mu(sn, rho_hat * Poly.x() ** i, family.jacobi_cache))
+        val = abs(inner_mu(sn, rho_hat * Poly.from_roots([0] * i), family.jacobi_cache))
         worst = max(worst, val)
     return worst
 

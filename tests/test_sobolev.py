@@ -42,7 +42,7 @@ def gram_schmidt_oracle(product, n):
     cache = build_jacobi(product.jacobi, 2 * n + 4)
     basis = []
     for m in range(n + 1):
-        v = Poly.x() ** m
+        v = Poly.from_roots([0] * m)
         for b in basis:
             coef = inner_sobolev(v, b, product, cache) / inner_sobolev(b, b, product, cache)
             v = v - coef * b

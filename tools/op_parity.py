@@ -2,6 +2,7 @@
 between two checkouts.
 
     python3 tools/op_parity.py run --seeds 1-40 --out new.json [--root CHECKOUT]
+    python3 tools/op_parity.py fuzz --seeds 1-4 --out new.json [--root CHECKOUT]
     python3 tools/op_parity.py diff base.json new.json
     python3 tools/op_parity.py referee base.json new.json --root CHECKOUT
 
@@ -15,9 +16,9 @@ reports.  The ops, the configs and the checks come from the checkout's
 `perfbench/workloads.py` and `perfbench/checks.py`, imported as they are,
 and the program from its `src/`.  Each op's record holds its outcome (ok,
 exit2, exit3, uncaught or wrong), its correct digits where the check gives
-them, a hash of its report, its stderr and, for `zeros`, the roots it
-reported.  Where the checkout has `SobolevFamily.holds`, the one threshold
-rule of the identity alarms, `run` wraps it and records for each op the
+them, a hash of its report, its stderr, its precision and, for `zeros`, the
+roots it reported.  Where the checkout has `SobolevFamily.holds`, the one
+threshold rule of the identity alarms, `run` wraps it and records for each op the
 lowest and highest margin of each alarm, log2(2^-p max(1, |size|) /
 |residual|) in bits, keyed by the calling function and the alarm's `what`
 (for `cmd_verify`, the suite's name; where the caller has neither, the line
@@ -25,15 +26,25 @@ number of the call).  An identity alarm fires below 0; the solve's pivot
 check, which fires where its pivot ratio holds, fires at 0 or above.
 Generated configs go to `CHECKOUT/.op_parity_work/`.
 
+`fuzz` runs `verify` on products beyond the benchmark's envelope: for each
+seed, FUZZ_PRODUCTS products with alpha from FUZZ_ALPHAS, beta from 0 to 120,
+one to three points at |c| from 1 to 10 (FUZZ_LOCATIONS, either sign, so
+also on the endpoints), one or two orders of at most 2 per point with masses
+from FUZZ_LAMBDAS, and n from FUZZ_N, each product at every precision of
+FUZZ_PRECISIONS.  It writes the same record as `run`, with each report, so
+`diff` compares two checkouts' fuzz records as it does their runs.
+
 `diff` pairs the ops of two records by (seed, op id), prints every change of
 outcome and of digits and, for each `zeros` op whose report changed but
 whose outcome did not, the largest root move max |delta r| / max(1, |r|);
 it prints every op whose stderr changed but whose outcome did not, counts
 the changed reports and stderrs per command, and exits 1 when an op's outcome
 gets worse, its digits drop by more than MAX_DIGIT_DROP, or a shipped-config
-report with the same outcome differs from the base's beyond tol(2)
-(`checks.diff_reports`).  It also prints, for each alarm, the lowest and
-highest margin over all ops on each side and the ops where they fall.
+or fuzz report with the same outcome differs from the base's beyond tol(2)
+(`checks.diff_reports`); a `verify` check that failed on the base side and
+passes, or fails otherwise, is printed and not counted as worse.  It also
+prints, for each alarm and precision, the lowest and highest margin over all
+ops on each side and the ops where they fall.
 
 `referee` reruns every generated `zeros` op whose outcome got worse or moved
 to ok, whose digits dropped or whose report changed, in the checkout
@@ -56,6 +67,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import sys
 import time
 import traceback
@@ -71,6 +83,13 @@ RANK = {"ok": 0, "exit2": 1, "exit3": 1, "wrong": 2, "uncaught": 3}
 # connection levels 0 to 2.
 SHIPPED_N = {"zeros": (12, 24), "ode": (1, 2, 3, 12, 24), "electro": (1, 2, 3, 12, 24, 40), "verify": (1, 2, 3, 12, 24)}
 SHIPPED_PRECISIONS = (128, 256, 512)
+# The out-of-envelope `verify` products of `fuzz`.
+FUZZ_ALPHAS = ("-0.5", "0", "0.5", "2")
+FUZZ_LOCATIONS = ("1", "1.25", "1.5", "2", "3", "4", "6", "10")
+FUZZ_LAMBDAS = ("0.01", "0.5", "2", "100")
+FUZZ_N = (6, 12, 20, 28)
+FUZZ_PRECISIONS = (64, 128, 256)
+FUZZ_PRODUCTS = 20
 # The printed coefficients of an `ode` report, and the LadderData fields
 # they print.
 ODE_FIELDS = {"q0": "q0", "q1": "q1", "q2": "q2", "q3": "q3", "q4": "q4", "ode_p0": "P0", "ode_p1": "P1", "ode_p2": "P2"}
@@ -138,36 +157,21 @@ def run(args) -> int:
     records = []
     for seed in seed_range(args.seeds):
         for op in workloads.materialise(workloads.STREAM, seed, work):
-            margins.clear()
-            start = time.perf_counter()
-            outcome, report, stderr = run_op(cli.main, op["argv"])
-            seconds = time.perf_counter() - start
-            digits, problems = None, []
-            if outcome == "ok":
+            record = op_record(cli.main, margins, seed, op["id"], op["precision"], op["argv"])
+            report = record.pop("report")
+            if record["outcome"] == "ok":
                 prec = mp.prec  # the referee's load_config sets it
                 try:
-                    problems, digits = checks.check_generated(op, report)
+                    record["problems"], record["digits"] = checks.check_generated(op, report)
                 except Exception as exc:
-                    problems = [f"check raised {type(exc).__name__}: {exc}"]
+                    record["problems"] = [f"check raised {type(exc).__name__}: {exc}"]
                 finally:
                     mp.prec = prec
-                if problems:
-                    outcome = "wrong"
-            record = {
-                "seed": seed,
-                "id": op["id"],
-                "command": op["command"],
-                "outcome": outcome,
-                "digits": digits,
-                "report_sha256": hashlib.sha256(report.encode()).hexdigest(),
-                "stderr": stderr,
-                "problems": problems,
-                "seconds": seconds,
-                "margins": dict(margins),
-            }
-            if op["command"] == "zeros" and outcome in ("ok", "wrong"):
+                if record["problems"]:
+                    record["outcome"] = "wrong"
+            if op["command"] == "zeros" and record["outcome"] in ("ok", "wrong"):
                 record["roots"] = [[r["re"], r["im"]] for r in json.loads(report)["roots"]]
-            if op["command"] == "ode" and outcome in ("ok", "wrong"):
+            if op["command"] == "ode" and record["outcome"] in ("ok", "wrong"):
                 record["ode"] = {key: json.loads(report)[key] for key in ODE_FIELDS}
             records.append(record)
         done = [r for r in records if r["seed"] == seed]
@@ -178,30 +182,77 @@ def run(args) -> int:
             for n in degrees:
                 for bits in SHIPPED_PRECISIONS:
                     argv = [command, "--config", config, "--n", str(n), "--precision", str(bits)]
-                    margins.clear()
-                    start = time.perf_counter()
-                    outcome, report, stderr = run_op(cli.main, argv)
-                    records.append(
-                        {
-                            "seed": None,
-                            "id": f"{command}-n{n}-{bits}:{name}",
-                            "command": command,
-                            "bits": bits,
-                            "outcome": outcome,
-                            "digits": None,
-                            "report_sha256": hashlib.sha256(report.encode()).hexdigest(),
-                            "report": report,
-                            "stderr": stderr,
-                            "problems": [],
-                            "seconds": time.perf_counter() - start,
-                            "margins": dict(margins),
-                        }
-                    )
+                    records.append(op_record(cli.main, margins, None, f"{command}-n{n}-{bits}:{name}", bits, argv))
     shipped = [r for r in records if r["seed"] is None]
     print(f"shipped configs: {sum(r['outcome'] == 'ok' for r in shipped)}/{len(shipped)} ok", file=sys.stderr)
+    return write_record(args, root, records)
+
+
+def op_record(main, margins, seed, op_id, bits, argv) -> dict:
+    """The record of one op, run in process with its alarm margins."""
+    margins.clear()
+    start = time.perf_counter()
+    outcome, report, stderr = run_op(main, argv)
+    return {
+        "seed": seed,
+        "id": op_id,
+        "command": argv[0],
+        "bits": bits,
+        "outcome": outcome,
+        "digits": None,
+        "report_sha256": hashlib.sha256(report.encode()).hexdigest(),
+        "report": report,
+        "stderr": stderr,
+        "problems": [],
+        "seconds": time.perf_counter() - start,
+        "margins": dict(margins),
+    }
+
+
+def write_record(args, root, records) -> int:
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump({"root": root, "seeds": args.seeds, "ops": records}, fh, indent=1)
     return 0
+
+
+def fuzz_configs(seed: int) -> list:
+    """(op id stem, config document) of the FUZZ_PRODUCTS products of a seed."""
+    rng = random.Random(seed)
+    signed = [s + c for c in FUZZ_LOCATIONS for s in ("", "-")]
+    out = []
+    for i in range(FUZZ_PRODUCTS):
+        points = [
+            {"c": c, "terms": [{"k": k, "lambda": rng.choice(FUZZ_LAMBDAS)}
+                               for k in sorted(rng.sample((0, 1, 2), rng.randint(1, 2)))]}
+            for c in rng.sample(signed, rng.randint(1, 3))
+        ]
+        doc = {"alpha": rng.choice(FUZZ_ALPHAS), "beta": str(rng.randint(0, 120)), "points": points,
+               "n": rng.choice(FUZZ_N)}
+        out.append((f"verify-{i:02d}-n{doc['n']}", doc))
+    return out
+
+
+def fuzz(args) -> int:
+    root = os.path.abspath(args.root)
+    sys.path.insert(0, os.path.join(root, "src"))
+    from jacobisobolev import cli
+    from jacobisobolev.sobolev import SobolevFamily
+
+    margins = record_margins(SobolevFamily) if hasattr(SobolevFamily, "holds") else {}
+    work = os.path.join(root, ".op_parity_work", "fuzz")
+    os.makedirs(work, exist_ok=True)
+    records = []
+    for seed in seed_range(args.seeds):
+        for stem, doc in fuzz_configs(seed):
+            config = os.path.join(work, f"seed{seed}-{stem}.json")
+            with open(config, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh, indent=1)
+            for bits in FUZZ_PRECISIONS:
+                argv = ["verify", "--config", config, "--precision", str(bits)]
+                records.append(op_record(cli.main, margins, seed, f"{stem}-{bits}", bits, argv))
+        done = [r for r in records if r["seed"] == seed]
+        print(f"seed {seed}: {sum(r['outcome'] == 'ok' for r in done)}/{len(done)} ok", file=sys.stderr)
+    return write_record(args, root, records)
 
 
 def load(path) -> dict:
@@ -239,14 +290,29 @@ def root_move(base_roots, new_roots) -> str:
         return f"largest root move {mpmath.nstr(move, 3)}"
 
 
+def verify_moves(where, base_report, new_report) -> None:
+    """Print each `verify` check that passes on the new side only, and each that fails
+    on both with another detail, and drop them from both reports, which hold the same
+    outcome, so that only a check that passed on the base side can count as worse."""
+    base = {c["name"]: c for c in base_report["checks"]}
+    for check in list(new_report["checks"]):
+        old = base.get(check["name"])
+        if old is None or old["passed"] or old["detail"] == check["detail"]:
+            continue
+        kind = "better" if check["passed"] else "failure"
+        print(f"{kind}: {where}: {check['name']}: {old['detail']!r} -> {check['detail']!r}")
+        base_report["checks"].remove(old)
+        new_report["checks"].remove(check)
+
+
 def margin_range(records) -> dict:
-    """alarm -> [(lowest margin in bits, op), (highest, op)] over a run record."""
+    """(alarm, bits) -> [(lowest margin in bits, op), (highest, op)] over a run record."""
     out = {}
     for (seed, op_id), r in sorted(records.items()):
         where = f"seed {seed} {op_id}" if seed else op_id
         for alarm, (lo, hi) in r.get("margins", {}).items():
-            old = out.setdefault(alarm, [(lo, where), (hi, where)])
-            out[alarm] = [min(old[0], (lo, where)), max(old[1], (hi, where))]
+            old = out.setdefault((alarm, r.get("bits", 0)), [(lo, where), (hi, where)])
+            out[alarm, r.get("bits", 0)] = [min(old[0], (lo, where)), max(old[1], (hi, where))]
     return out
 
 
@@ -271,7 +337,10 @@ def diff(args) -> int:
                 worse += 1
                 print(f"WORSE: {where}: digits {b['digits']:.2f} -> {n['digits']:.2f}")
         elif b.get("report") and n.get("report"):
-            problems = checks.diff_reports(json.loads(n["report"]), json.loads(b["report"]), n["bits"])
+            base_report, new_report = json.loads(b["report"]), json.loads(n["report"])
+            if n["command"] == "verify":
+                verify_moves(where, base_report, new_report)
+            problems = checks.diff_reports(new_report, base_report, n["bits"])
             worse += bool(problems)
             for problem in problems:
                 print(f"WORSE: {where}: {problem}")
@@ -283,10 +352,10 @@ def diff(args) -> int:
             changed_stderr.setdefault(n["command"], []).append(where)
             print(f"stderr: {where}: {b.get('stderr', '')!r} -> {n.get('stderr', '')!r}")
     ranges = {"base": margin_range(base), "new": margin_range(new)}
-    for alarm in sorted(ranges["base"].keys() | ranges["new"].keys()):
-        sides = [f"{side} " + (", ".join(f"{m:.1f} bits ({op})" for m, op in ranges[side][alarm])
-                               if alarm in ranges[side] else "-") for side in ranges]
-        print(f"margin {alarm}, lowest and highest: " + "; ".join(sides))
+    for alarm, bits in sorted(ranges["base"].keys() | ranges["new"].keys()):
+        sides = [f"{side} " + (", ".join(f"{m:.1f} bits ({op})" for m, op in ranges[side][alarm, bits])
+                               if (alarm, bits) in ranges[side] else "-") for side in ranges]
+        print(f"margin {alarm} at {bits or '?'} bits, lowest and highest: " + "; ".join(sides))
     missing = base.keys() ^ new.keys()
     print(f"{len(base.keys() & new.keys())} ops paired, {len(missing)} unpaired")
     for command in sorted({r["command"] for r in new.values()}):
@@ -373,7 +442,12 @@ def main(argv=None) -> int:
     r.add_argument("--out", required=True)
     r.add_argument("--root", default=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    help="checkout whose src/ and perfbench/ are used (default: this one)")
-    d = sub.add_parser("diff", help="compare two run records")
+    z = sub.add_parser("fuzz", help="run verify on the seeds' out-of-envelope products at each fuzz precision")
+    z.add_argument("--seeds", required=True, help="A-B or A")
+    z.add_argument("--out", required=True)
+    z.add_argument("--root", default=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                   help="checkout whose src/ is used (default: this one)")
+    d = sub.add_parser("diff", help="compare two run or fuzz records")
     d.add_argument("base")
     d.add_argument("new")
     f = sub.add_parser("referee", help="rerun the flagged and newly ok zeros ops and every ode op of two records at high precision")
@@ -381,7 +455,7 @@ def main(argv=None) -> int:
     f.add_argument("new")
     f.add_argument("--root", required=True, help="checkout whose src/ computes the referee (the parent's)")
     args = parser.parse_args(argv)
-    return {"run": run, "diff": diff, "referee": referee}[args.action](args)
+    return {"run": run, "fuzz": fuzz, "diff": diff, "referee": referee}[args.action](args)
 
 
 if __name__ == "__main__":
