@@ -21,10 +21,10 @@ import sys
 import mpmath
 from mpmath import mp, mpf
 
-from .electrostatics import ElectroError, classify, decompose_field, gradient, simple_zeros
+from .electrostatics import ElectroError, NotCritical, classify, field_at_zeros, gradient, gradient_bound, simple_zeros
 from .jacobi import InvalidMeasure, JacobiParams, classical_ode_residual
 from .ladder import StructureError, build_ladder, ladder_residual, ode_residual, recurrence_residual
-from .numkernel import NumKernelError, precision_digits, tol
+from .numkernel import NumKernelError, precision_digits
 from .sobolev import (
     MassPoint,
     SobolevError,
@@ -209,9 +209,10 @@ def cmd_ode(cfg: dict) -> dict:
 def cmd_electro(cfg: dict) -> dict:
     product, n = cfg["product"], cfg["n"]
     family = build_family(product, n)
-    ld = build_ladder(family, n)
-    fd = decompose_field(ld, family)
+    fd = field_at_zeros(family, n)
     er = classify(fd, family, n)
+    if er.grad_norm > gradient_bound(n):
+        raise NotCritical(f"gradient at zeros {er.grad_norm}")
     report = _base_report(cfg, "electro")
     report.update(
         {
@@ -248,13 +249,6 @@ def _orthogonality_defects(family, n: int) -> list:
     return defects
 
 
-def _gradient_at_zeros(family, n: int) -> list:
-    """|grad| of the energy at the zeros of S_n, which are read, and checked real and simple,
-    before the field is decomposed."""
-    zeros = simple_zeros(family, n)
-    return [abs(g) for g in gradient(decompose_field(build_ladder(family, n), family), zeros)]
-
-
 def cmd_verify(cfg: dict) -> dict:
     """Run every invariant suite on the configured product at degree n.  A row (name, runs,
     residuals, bound, failure, label) passes when its largest residual holds family.holds
@@ -275,8 +269,9 @@ def cmd_verify(cfg: dict) -> dict:
          None, "ODE residual", "max ODE residual"),
         ("rational_recurrence", n >= 3, lambda: [recurrence_residual(family, m) for m in range(2, n)],
          None, "recurrence residual", "max recurrence residual"),
-        ("electrostatic_critical_point", n >= 2 and product.d_star > 0, lambda: _gradient_at_zeros(family, n),
-         tol(4) * n, "gradient at zeros", "max gradient component"),
+        ("electrostatic_critical_point", n >= 2 and product.d_star > 0,
+         lambda: [abs(g) for g in gradient(field_at_zeros(family, n), simple_zeros(family, n))],
+         gradient_bound(n), "gradient at zeros", "max gradient component"),
         ("sequential_ordering_probe", True,
          lambda: f"sequentially_ordered={is_sequentially_ordered(product)[0]}", None, None, None),
     ]

@@ -17,7 +17,7 @@ from enum import Enum
 import mpmath
 from mpmath import mpf
 
-from .ladder import LadderData
+from .ladder import LadderData, build_ladder
 from .numkernel import Poly, cholesky_pd, poly_roots, sym_eigen, tol
 from .sobolev import SobolevFamily
 
@@ -39,6 +39,10 @@ class SingularConfiguration(ElectroError):
 
 class ZerosNotSimple(ElectroError):
     """S_n has complex or multiple zeros; classification is undefined."""
+
+
+class NotCritical(ElectroError):
+    """A gradient component at the zeros of S_n exceeds gradient_bound."""
 
 
 class Classification(str, Enum):
@@ -337,6 +341,18 @@ def simple_zeros(family: SobolevFamily, n: int) -> list:
     if any(b - a <= tol(2) for a, b in zip(zeros, zeros[1:])):
         raise ZerosNotSimple("S_n has (numerically) multiple zeros")
     return zeros
+
+
+def gradient_bound(n: int) -> mpf:
+    """The largest gradient component at n zeros that is still a critical point."""
+    return tol(4) * n
+
+
+def field_at_zeros(family: SobolevFamily, n: int) -> FieldDecomposition:
+    """The field of S_n, decomposed after simple_zeros reads its zeros: electro
+    and verify share this order, so a product that fails both names one cause."""
+    simple_zeros(family, n)
+    return decompose_field(build_ladder(family, n), family)
 
 
 def classify(fd: FieldDecomposition, family: SobolevFamily, n: int) -> ElectroReport:

@@ -4,9 +4,9 @@ and the classical first-order ladder (raising/lowering) coefficients.
 Conventions: the weight is (1-x)^alpha (1+x)^beta on [-1, 1] with
 alpha, beta > -1, and all polynomials are monic.  The norms come from the
 recurrence: h_0 = 2^(alpha+beta+1) Gamma(alpha+1) Gamma(beta+1) /
-Gamma(alpha+beta+2) (norm0) and h_n = gamma2_n h_{n-1}.  gamma2_1 and the
-ladder coefficient b_1 are taken in cancelled form, so alpha + beta = -1
-(Chebyshev of the first kind) needs no special case.
+Gamma(alpha+beta+2) (norm0) and h_n = gamma2_n h_{n-1}.  gamma2_1 is taken
+in cancelled form, so alpha + beta = -1 (Chebyshev of the first kind) needs
+no special case.
 """
 
 from __future__ import annotations
@@ -139,41 +139,15 @@ def build_jacobi(params: JacobiParams, n: int) -> JacobiCache:
 
 
 def ladder_coeffs(params: JacobiParams, n: int):
-    """Classical ladder coefficients (a_n(x), b_n, c_n(x), d_n) for degree n.
-
-    They satisfy, for n >= 1,
+    """Classical ladder coefficients (a_n(x), c_n(x), d_n) for degree n >= 1,
+    where 2n+alpha+beta > 0.  With b_n = (2n+alpha+beta+1) gamma2_n they satisfy
 
         -(a_n/b_n) P_n + ((1-x^2)/b_n) P_n'      = P_{n-1},
         -(c_n/d_n) P_{n-1} + ((1-x^2)/d_n) P_{n-1}' = P_n.
-
-    For n = 0 the degenerate values a_0 = 0, b_0 = 0 are returned with the
-    cancelled form of c_0; callers that hit the b_0 denominator must branch.
     """
     a, b = params.alpha, params.beta
     s = 2 * n + a + b
-    if n == 0:
-        a_poly = Poly.zero()
-        b_coef = mpf(0)
-        c_poly = Poly((a - b, a + b))  # cancelled (n+a+b)/(2n+a+b) factor
-    else:
-        a_poly = Poly((b - a, s)) * (-mpf(n) / s)
-        if n == 1:
-            # Cancelled (1 + a + b) / (s - 1) factor, as in gamma2.
-            b_coef = 4 * (1 + a) * (1 + b) / (s * s)
-        else:
-            b_coef = 4 * n * (n + a) * (n + b) * (n + a + b) / (s * s * (s - 1))
-        c_poly = Poly((a - b, s)) * ((n + a + b) / s)
-    d_coef = -(s - 1)
-    return a_poly, b_coef, c_poly, d_coef
-
-
-def raise_over_gamma2(params: JacobiParams, n: int) -> mpf:
-    """The ratio b_n / gamma2_n = 2n + alpha + beta + 1, valid for n >= 0.
-
-    Both factors vanish at n = 0; this is the continuous continuation used
-    by the Sobolev ladder construction at its lowest index.
-    """
-    return 2 * n + params.alpha + params.beta + 1
+    return Poly((b - a, s)) * (-mpf(n) / s), Poly((a - b, s)) * ((n + a + b) / s), -(s - 1)
 
 
 def classical_ode_residual(cache: JacobiCache, n: int) -> mpf:

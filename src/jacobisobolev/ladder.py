@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import mpmath
 from mpmath import mpf
 
-from .jacobi import ladder_coeffs, raise_over_gamma2
+from .jacobi import ladder_coeffs
 from .numkernel import Poly, relative_residual
 from .sobolev import SobolevFamily
 
@@ -82,40 +82,42 @@ def _taylor(derivs, c, k: int) -> Poly:
 
 
 def connection_level(family: SobolevFamily, m: int):
-    """(A2, B2, A3, B3) at family level m: the numerators over rho of the
-    connection coefficients F_{1,m}, G_{1,m} with
+    """(A2, B2/gamma2_m, A3, B3/gamma2_m) at family level m: the numerators
+    over rho of the connection coefficients F_{1,m}, G_{1,m} with
     S_m = F_{1,m} P_m + G_{1,m} P_{m-1}, and of its derivative form
-    (1-x^2)(rho S_m)' = A3 P_m + B3 P_{m-1}.  Computed inside the family's
-    guard and memoised on the family per (m, working precision)."""
+    (1-x^2)(rho S_m)' = A3 P_m + B3 P_{m-1}.  Over gamma2_m = h_m / h_{m-1},
+    level 0 is finite: (rho, 0, (1-x^2) rho', (alpha+beta+1) rho).  Computed
+    inside the family's guard and memoised per (m, working precision)."""
     return family.memoised("conn", m, lambda: _connection_level(family, m))
 
 
 def _connection_level(family: SobolevFamily, m: int):
     sder = family.deriv_vector(m)
     product, cache = family.product, family.jacobi_cache
+    a, b = product.jacobi.alpha, product.jacobi.beta
     with family.guard():
-        a2, b2 = product.rho(), Poly.zero()
-        if m > 0:
-            hm1 = cache.norm(m - 1)
-            prev, cur = family.table[m - 1], family.table[m]
-            for (j, k, lam), sval in zip(product.active_pairs, sder):
-                c = product.points[j].c
-                coef = mpmath.factorial(k) * lam * sval / hm1
-                rjk = product.rho_jk(j, k)
-                a2 = a2 - coef * (_taylor(prev[j], c, k) * rjk)
-                b2 = b2 + coef * (_taylor(cur[j], c, k) * rjk)
-        a_hat, b_hat, c_hat, d_hat = ladder_coeffs(product.jacobi, m)
-        one_minus_x2 = Poly((1, 0, -1))
-        a3 = a2.deriv() * one_minus_x2 + a_hat * a2 + d_hat * b2
-        b3 = b2.deriv() * one_minus_x2 + b_hat * a2 + c_hat * b2
+        rho, one_minus_x2 = product.rho(), Poly((1, 0, -1))
+        if m == 0:
+            return rho, Poly.zero(), one_minus_x2 * rho.deriv(), (a + b + 1) * rho
+        a2, b2 = rho, Poly.zero()
+        hm1, hm = cache.norm(m - 1), cache.norm(m)
+        prev, cur = family.table[m - 1], family.table[m]
+        for (j, k, lam), sval in zip(product.active_pairs, sder):
+            c = product.points[j].c
+            weight = mpmath.factorial(k) * lam * sval
+            rjk = product.rho_jk(j, k)
+            a2 = a2 - (weight / hm1) * (_taylor(prev[j], c, k) * rjk)
+            b2 = b2 + (weight / hm) * (_taylor(cur[j], c, k) * rjk)
+        a_hat, c_hat, d_hat = ladder_coeffs(product.jacobi, m)
+        # d_m B2 = (d_m gamma2_m) B2/gamma2_m and b_m / gamma2_m = 2m + alpha + beta + 1.
+        a3 = a2.deriv() * one_minus_x2 + a_hat * a2 + (d_hat * cache.gamma2s[m]) * b2
+        b3 = b2.deriv() * one_minus_x2 + (2 * m + a + b + 1) * a2 + c_hat * b2
     return a2, b2, a3, b3
 
 
 def build_ladder(family: SobolevFamily, n: int) -> LadderData:
-    """Assemble the LadderData bundle at index n (n >= 1).
+    """Assemble the LadderData bundle at index n >= 1 from connection levels n - 1 and n.
 
-    Index 1 uses the continuous limit of the C/D formulas, since the
-    generic expressions divide by gamma2_0 = 0 against vanishing numerators.
     The bundle is computed inside the family's guard, where its identity
     checks ask family.holds.  It is memoised on the family per (n, working
     precision), so a repeat call returns the same object.
@@ -136,23 +138,12 @@ def _build_ladder(family: SobolevFamily, n: int) -> LadderData:
         cache = family.jacobi_cache
         d = product.d
 
-        if n >= 2:
-            g1 = cache.gamma1s[n - 1]
-            g2 = cache.gamma2s[n - 1]
-            shift = Poly((-g1, 1))
-            c2 = -(1 / g2) * b2p
-            d2 = a2p + (1 / g2) * (shift * b2p)
-            c3 = -(1 / g2) * b3p
-            d3 = a3p + (1 / g2) * (shift * b3p)
-        else:
-            # B2_0 = 0 identically; B3_0 = b_hat_0 * A2_0 with b_hat_0/gamma2_0
-            # continued as alpha + beta + 1.
-            ratio = raise_over_gamma2(product.jacobi, 0)
-            shift = Poly((-cache.gamma1s[0], 1))
-            c2 = Poly.zero()
-            d2 = a2p
-            c3 = -ratio * a2p
-            d3 = a3p + ratio * (shift * a2p)
+        # Level n - 1 in the basis (P_n, P_{n-1}), by
+        # gamma2_{n-1} P_{n-2} = (x - gamma1_{n-1}) P_{n-1} - P_n; level n's B2, B3.
+        shift = Poly((-cache.gamma1s[n - 1], 1))
+        c2, d2 = -b2p, a2p + shift * b2p
+        c3, d3 = -b3p, a3p + shift * b3p
+        b2n, b3n = cache.gamma2s[n] * b2n, cache.gamma2s[n] * b3n
 
         # Only D2 and q1..q4 have their degrees checked: each is a sum of two
         # terms of the same top degree, so its leading coefficient can cancel.

@@ -109,11 +109,11 @@ def quasi_orthogonality_check(family: SobolevFamily, n: int) -> mpf:
 def delta_leading_expected(family: SobolevFamily, n: int) -> mpf:
     """Expected leading coefficient of Delta_n from the Lambda law."""
     d = family.product.d
-    b2p = connection_level(family, n - 1)[1]
+    g2 = gamma2(family.product.jacobi, n - 1)
+    b2p = g2 * connection_level(family, n - 1)[1]
     lead = b2p.coeff(d - 1)
     if abs(lead) <= tol(2) * max(b2p.max_abs_coeff(), mpf(1)):
         return mpf(1)
-    g2 = gamma2(family.product.jacobi, n - 1)
     h = family.jacobi_cache.norm(n - 2)
     return 1 + family.lambda_form(n - 1) / (g2 * h)
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
-from jacobisobolev import cli, jacobi, ladder, numkernel, sobolev
+from jacobisobolev import cli, electrostatics, jacobi, ladder, numkernel, sobolev
 from jacobisobolev.cli import (
     ConfigError,
     cmd_polys,
@@ -284,6 +284,7 @@ class TestDeterminism:
         # build_ladder without its memo, at every name it is called by.
         monkeypatch.setattr(cli, "build_ladder", ladder._build_ladder)
         monkeypatch.setattr(ladder, "build_ladder", ladder._build_ladder)
+        monkeypatch.setattr(electrostatics, "build_ladder", ladder._build_ladder)
         for args, memo_out in zip(runs, memo):
             out = str(tmp_path / "plain.json")
             assert main(["verify", *args, "--out", out]) == 0
@@ -488,6 +489,27 @@ class TestExitCodes:
         assert checks.pop("electrostatic_critical_point")["detail"] == cause
         assert all(c["passed"] for c in checks.values())
 
+    def test_electro_refuses_zeros_that_are_no_critical_point(self, tmp_path, capsys):
+        # The zeros of S_12 are real and simple here, but the gradient of the
+        # energy there is about 5e17 at 64 and 128 bits: electro names the
+        # cause by the bound at which verify's electrostatic_critical_point
+        # fails, and prints no classification.
+        doc = {"alpha": "0", "beta": "27", "n": 12,
+               "points": [{"c": "10", "terms": [{"k": 0, "lambda": "0.01"}, {"k": 2, "lambda": "2"}]},
+                          {"c": "1.25", "terms": [{"k": 0, "lambda": "0.5"}, {"k": 2, "lambda": "100"}]},
+                          {"c": "-1.5", "terms": [{"k": 0, "lambda": "0.01"}, {"k": 2, "lambda": "0.5"}]}]}
+        path = write_config(tmp_path, doc)
+        out = str(tmp_path / "verify.json")
+        for bits in ("64", "128"):
+            assert main(["electro", "--config", path, "--precision", bits]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("NotCritical: gradient at zeros "), err
+            assert main(["verify", "--config", path, "--precision", bits, "--out", out]) == 3
+            capsys.readouterr()
+            with open(out, encoding="utf-8") as fh:
+                checks = {c["name"]: c for c in json.load(fh)["checks"]}
+            assert checks["electrostatic_critical_point"]["detail"].startswith("StructureError: gradient at zeros ")
+
     def test_missing_config_is_2(self, tmp_path):
         assert main(["polys", "--config", str(tmp_path / "nope.json")]) == 2
 
@@ -528,13 +550,16 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
     def test_chebyshev_first_kind_runs(self, command, tmp_path):
-        # alpha + beta = -1 makes h_0 by log-Gamma, gamma2_1 and b_1 0/0.
-        doc = dict(SADDLE_CONFIG, alpha="-0.5", beta="-0.5", n=8)
+        # alpha + beta = -1 makes h_0 by log-Gamma and gamma2_1 0/0.  n = 2 and
+        # 3, the lowest degrees the ladder commands run at here, read gamma2_1
+        # through connection level 1.
         out = str(tmp_path / "out.json")
-        assert main([command, "--config", write_config(tmp_path, doc), "--out", out]) == 0
-        if command == "verify":
-            with open(out, encoding="utf-8") as fh:
-                assert json.load(fh)["all_passed"]
+        for n in (2, 3, 8):
+            doc = dict(SADDLE_CONFIG, alpha="-0.5", beta="-0.5", n=n)
+            assert main([command, "--config", write_config(tmp_path, doc), "--out", out]) == 0, n
+            if command == "verify":
+                with open(out, encoding="utf-8") as fh:
+                    assert json.load(fh)["all_passed"], n
 
     @pytest.mark.parametrize("command", ["zeros", "ode", "verify"])
     def test_far_mixed_orders_at_128_bits(self, command, tmp_path):

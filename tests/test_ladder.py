@@ -21,10 +21,10 @@ class TestStructure:
 
     @pytest.mark.parametrize("which", [0, 1, 2, 3])
     def test_degrees_and_divisibility(self, all_families, which):
-        # Every degree the theory states for the bundle, from n = 1 (the
-        # limit branch) on.  build_ladder checks only D2 and q1..q4, whose
-        # leading coefficients can cancel, and asserts the exact divisions
-        # of Delta by rho and of Delta_i by rho_(d-N).
+        # Every degree the theory states for the bundle, from n = 1 on.
+        # build_ladder checks only D2 and q1..q4, whose leading coefficients
+        # can cancel, and asserts the exact divisions of Delta by rho and of
+        # Delta_i by rho_(d-N).
         family = all_families[which]
         d = family.product.d
         for n in (*range(1, 9), 12):
@@ -95,7 +95,7 @@ class TestStructure:
 class TestLadderOperators:
     @staticmethod
     def _holds(family, terms):
-        # From n = 1 (the limit branch) on: ladder_residual, the larger of the
+        # From n = 1 on: ladder_residual, the larger of the
         # lowering and the raising residual, holds the family's rule, and
         # covers the identity whose terms are given.
         for n in range(1, 9):
@@ -196,8 +196,21 @@ class TestRecurrence:
 
 class TestLowestIndex:
     def test_n1_limit_branch(self, intro_family):
+        # C2 = -B2_0 / gamma2_0 = 0: level 0 is S_0 = P_0.
         ld = build_ladder(intro_family, 1)
         assert ld.C2.is_zero()
+
+    @pytest.mark.parametrize("which", [0, 1, 2, 3])
+    def test_level_zero_is_finite(self, all_families, which):
+        # Level 0 carries B2 and B3 over gamma2_0 = 0 as their finite limits,
+        # exactly: (rho, 0, (1-x^2) rho', (alpha+beta+1) rho).
+        family = all_families[which]
+        params = family.product.jacobi
+        level = connection_level(family, 0)
+        with family.guard():
+            rho = family.product.rho()
+            want = (rho, Poly.zero(), Poly((1, 0, -1)) * rho.deriv(), (params.alpha + params.beta + 1) * rho)
+        assert [p.coeffs for p in level] == [p.coeffs for p in want]
 
     def test_n0_rejected(self, intro_family):
         with pytest.raises(ValueError):

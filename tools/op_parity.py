@@ -17,8 +17,10 @@ reports.  The ops, the configs and the checks come from the checkout's
 and the program from its `src/`.  Each op's record holds its outcome (ok,
 exit2, exit3, uncaught or wrong), its correct digits where the check gives
 them, a hash of its report, its stderr, its precision and, for `zeros`, the
-roots it reported.  Where the checkout has `SobolevFamily.holds`, the one
-threshold rule of the identity alarms, `run` wraps it and records for each op the
+roots it reported, for `ode`, its printed coefficients and scalars (a
+shipped-config op keeps its whole report).  Where the checkout has
+`SobolevFamily.holds`, the one threshold rule of the identity alarms, `run`
+wraps it and records for each op the
 lowest and highest margin of each alarm, log2(2^-p max(1, |size|) /
 |residual|) in bits, keyed by the calling function and the alarm's `what`
 (for `cmd_verify`, the suite's name; where the caller has neither, the line
@@ -37,6 +39,9 @@ FUZZ_PRECISIONS.  It writes the same record as `run`, with each report, so
 `diff` pairs the ops of two records by (seed, op id), prints every change of
 outcome and of digits and, for each `zeros` op whose report changed but
 whose outcome did not, the largest root move max |delta r| / max(1, |r|);
+for each such `ode` op, the printed fields that changed and the largest
+coefficient move relative to its polynomial's largest |coefficient|, and it
+counts the `ode` reports whose only change is `ode_residual`;
 it prints every op whose stderr changed but whose outcome did not, counts
 the changed reports and stderrs per command, and exits 1 when an op's outcome
 gets worse, its digits drop by more than MAX_DIGIT_DROP, or a shipped-config
@@ -91,8 +96,9 @@ FUZZ_N = (6, 12, 20, 28)
 FUZZ_PRECISIONS = (64, 128, 256)
 FUZZ_PRODUCTS = 20
 # The printed coefficients of an `ode` report, and the LadderData fields
-# they print.
+# they print; then its printed scalars.
 ODE_FIELDS = {"q0": "q0", "q1": "q1", "q2": "q2", "q3": "q3", "q4": "q4", "ode_p0": "P0", "ode_p1": "P1", "ode_p2": "P2"}
+ODE_SCALARS = ("lambda_n", "ode_residual")
 
 
 def seed_range(text: str) -> list:
@@ -172,7 +178,7 @@ def run(args) -> int:
             if op["command"] == "zeros" and record["outcome"] in ("ok", "wrong"):
                 record["roots"] = [[r["re"], r["im"]] for r in json.loads(report)["roots"]]
             if op["command"] == "ode" and record["outcome"] in ("ok", "wrong"):
-                record["ode"] = {key: json.loads(report)[key] for key in ODE_FIELDS}
+                record["ode"] = ode_fields(json.loads(report))
             records.append(record)
         done = [r for r in records if r["seed"] == seed]
         print(f"seed {seed}: {sum(r['outcome'] == 'ok' for r in done)}/{len(done)} ok", file=sys.stderr)
@@ -207,6 +213,11 @@ def op_record(main, margins, seed, op_id, bits, argv) -> dict:
         "seconds": time.perf_counter() - start,
         "margins": dict(margins),
     }
+
+
+def ode_fields(report) -> dict:
+    """The printed coefficients and scalars of an `ode` report."""
+    return {key: report[key] for key in (*ODE_FIELDS, *ODE_SCALARS)}
 
 
 def write_record(args, root, records) -> int:
@@ -290,6 +301,35 @@ def root_move(base_roots, new_roots) -> str:
         return f"largest root move {mpmath.nstr(move, 3)}"
 
 
+def ode_move(b, n):
+    """(fields, move) of an `ode` op whose report changed: the printed fields that
+    differ, and the largest coefficient move, max |delta a_i| / max_i |a_i| over
+    each polynomial whose coefficient count holds, as text; None where a record
+    holds neither the `ode` fields of a generated op nor the report of a shipped one."""
+    import mpmath
+    from mpmath import mpf
+
+    base, new = (r["ode"] if "ode" in r else ode_fields(json.loads(r["report"])) if r.get("report") else None
+                 for r in (b, n))
+    if base is None or new is None:
+        return None
+    fields = [key for key in (*ODE_FIELDS, *ODE_SCALARS) if base.get(key) != new.get(key)]
+    worst, counts = mpf(0), []
+    with mpmath.workprec(REFEREE_BITS):
+        for key in ODE_FIELDS:
+            if len(base[key]) != len(new[key]):
+                counts.append(key)
+                continue
+            scale = max([abs(mpf(c)) for c in base[key]], default=0)
+            move = max([abs(mpf(x) - mpf(y)) for x, y in zip(base[key], new[key])], default=0)
+            if move:
+                worst = max(worst, move / scale if scale else mpmath.inf)
+        text = "0" if not worst else f"{mpmath.nstr(worst, 3)} (2^{float(mpmath.log(worst, 2)):.1f})"
+    if counts:
+        text += f", coefficient count differs in {', '.join(counts)}"
+    return fields, text
+
+
 def verify_moves(where, base_report, new_report) -> None:
     """Print each `verify` check that passes on the new side only, and each that fails
     on both with another detail, and drop them from both reports, which hold the same
@@ -324,6 +364,7 @@ def diff(args) -> int:
     worse = 0
     changed_reports, changed_stderr = {}, {}
     largest_drop = 0.0
+    residual_only = 0
     for key in sorted(base.keys() & new.keys()):
         b, n = base[key], new[key]
         where = f"seed {key[0]} {key[1]}" if key[0] else key[1]
@@ -348,6 +389,12 @@ def diff(args) -> int:
             changed_reports.setdefault(n["command"], []).append(where)
             if n["outcome"] == b["outcome"] and "roots" in b and "roots" in n:
                 print(f"moved: {where}: {root_move(b['roots'], n['roots'])}")
+            moved = ode_move(b, n) if n["command"] == "ode" and n["outcome"] == b["outcome"] else None
+            if moved is not None:
+                fields, move = moved
+                residual_only += fields == ["ode_residual"]
+                print(f"ode: {where} ({n['bits']} bits): changed {', '.join(fields) or 'nothing printed'}; "
+                      f"largest coefficient move {move} of its polynomial's largest |coefficient|")
         if n["outcome"] == b["outcome"] and n.get("stderr", "") != b.get("stderr", ""):
             changed_stderr.setdefault(n["command"], []).append(where)
             print(f"stderr: {where}: {b.get('stderr', '')!r} -> {n.get('stderr', '')!r}")
@@ -365,6 +412,8 @@ def diff(args) -> int:
             f"{command}: {len(ops)} ops, {same} same outcome, {len(changed_reports.get(command, []))} reports changed, "
             f"{len(changed_stderr.get(command, []))} stderrs changed"
         )
+    if changed_reports.get("ode"):
+        print(f"ode: {residual_only} of {len(changed_reports['ode'])} changed reports differ only in ode_residual")
     print(f"largest digit drop {largest_drop:.2f}; {worse} worse")
     return 1 if worse or missing else 0
 
