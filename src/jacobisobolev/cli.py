@@ -21,7 +21,7 @@ import sys
 import mpmath
 from mpmath import mp, mpf
 
-from .electrostatics import ElectroError, NotCritical, classify, field_at_zeros, gradient, gradient_bound, simple_zeros
+from .electrostatics import ElectroError, classify, critical_point
 from .jacobi import InvalidMeasure, JacobiParams, classical_ode_residual
 from .ladder import StructureError, build_ladder, ladder_residual, ode_residual, recurrence_residual
 from .numkernel import NumKernelError, precision_digits
@@ -209,15 +209,13 @@ def cmd_ode(cfg: dict) -> dict:
 def cmd_electro(cfg: dict) -> dict:
     product, n = cfg["product"], cfg["n"]
     family = build_family(product, n)
-    fd = field_at_zeros(family, n)
-    er = classify(fd, family, n)
-    if er.grad_norm > gradient_bound(n):
-        raise NotCritical(f"gradient at zeros {er.grad_norm}")
+    zeros, fd, grad = critical_point(family, n)
+    er = classify(zeros, fd)
     report = _base_report(cfg, "electro")
     report.update(
         {
-            "zeros": _fmt_list(er.zeros),
-            "grad_norm": _fmt(er.grad_norm),
+            "zeros": _fmt_list(zeros),
+            "grad_norm": _fmt(max(abs(g) for g in grad)),
             "hessian_eigenvalues": _fmt_list(er.hessian_eigs),
             "classification": er.classification.value,
             "negative_index_set": er.negative_index_set,
@@ -228,7 +226,7 @@ def cmd_electro(cfg: dict) -> dict:
                 {"re": _fmt(re), "im": _fmt(im), "exponent": _fmt(ell)}
                 for re, im, ell in fd.attractors
             ],
-            "warnings": er.warnings,
+            "warnings": fd.warnings,
         }
     )
     return report
@@ -251,32 +249,32 @@ def _orthogonality_defects(family, n: int) -> list:
 
 def cmd_verify(cfg: dict) -> dict:
     """Run every invariant suite on the configured product at degree n.  A row (name, runs,
-    residuals, bound, failure, label) passes when its largest residual holds family.holds
-    (an identity, bound None) or is within bound; the ordering probe returns its detail."""
+    residuals, failure, label) passes when its largest residual holds family.holds; a row
+    without a label returns its detail, and fails by what it raises."""
     product, n = cfg["product"], cfg["n"]
     family = build_family(product, n)
     suites = [
         ("classical_jacobi_ode", True,
          lambda: [classical_ode_residual(family.jacobi_cache, m) for m in range(n + 1)],
-         None, "classical ODE residual", "max residual"),
+         "classical ODE residual", "max residual"),
         ("sobolev_orthogonality", True, lambda: _orthogonality_defects(family, n),
-         None, "orthogonality defect", "max relative defect"),
+         "orthogonality defect", "max relative defect"),
         ("ladder_operators", n >= 2,
          lambda: [ladder_residual(build_ladder(family, m), family) for m in range(2, n + 1)],
-         None, "ladder residual", "max ladder residual"),
+         "ladder residual", "max ladder residual"),
         ("second_order_ode", n >= 2,
          lambda: [ode_residual(build_ladder(family, m), family) for m in range(2, n + 1)],
-         None, "ODE residual", "max ODE residual"),
+         "ODE residual", "max ODE residual"),
         ("rational_recurrence", n >= 3, lambda: [recurrence_residual(family, m) for m in range(2, n)],
-         None, "recurrence residual", "max recurrence residual"),
+         "recurrence residual", "max recurrence residual"),
         ("electrostatic_critical_point", n >= 2 and product.d_star > 0,
-         lambda: [abs(g) for g in gradient(field_at_zeros(family, n), simple_zeros(family, n))],
-         gradient_bound(n), "gradient at zeros", "max gradient component"),
+         lambda: f"max gradient component {_fmt(max(abs(g) for g in critical_point(family, n)[2]))}",
+         None, None),
         ("sequential_ordering_probe", True,
-         lambda: f"sequentially_ordered={is_sequentially_ordered(product)[0]}", None, None, None),
+         lambda: f"sequentially_ordered={is_sequentially_ordered(product)[0]}", None, None),
     ]
     checks = []
-    for name, runs, residuals, bound, failure, label in suites:
+    for name, runs, residuals, failure, label in suites:
         if not runs:
             continue
         try:
@@ -284,7 +282,7 @@ def cmd_verify(cfg: dict) -> dict:
                 detail = residuals()
             else:
                 worst = max(residuals(), default=0)
-                if not (family.holds(worst, 1) if bound is None else worst <= bound):
+                if not family.holds(worst, 1):
                     raise StructureError(f"{failure} {worst}")
                 detail = f"{label} {_fmt(worst)}"
             checks.append({"name": name, "passed": True, "detail": detail})

@@ -42,7 +42,7 @@ class ZerosNotSimple(ElectroError):
 
 
 class NotCritical(ElectroError):
-    """A gradient component at the zeros of S_n exceeds gradient_bound."""
+    """A gradient component at the zeros of S_n exceeds tol(4) n."""
 
 
 class Classification(str, Enum):
@@ -65,31 +65,23 @@ class FieldDecomposition:
     attractors: list
     warnings: list = field(default_factory=list)
 
-    def external_deriv(self, w) -> mpf:
-        """v'(w); away from the poles, -v' is the reconstructed P1/P2."""
+    def derivatives(self, w) -> tuple:
+        """(v'(w), v''(w)) in one pass over the poles and the attractors; away
+        from the poles, -v' is the reconstructed P1/P2."""
         w = mpf(w)
-        acc = mpf(0)
+        d1, d2 = mpf(0), mpf(0)
         for loc, ell in self.poles:
-            acc -= ell / (w - loc)
+            d1 -= ell / (w - loc)
+            d2 += ell / (w - loc) ** 2
         for re, im, ell in self.attractors:
             if im == 0:
-                acc += ell / (w - re)
-            else:
-                acc += 2 * ell * (w - re) / ((w - re) ** 2 + im**2)
-        return acc
-
-    def external_second_deriv(self, w) -> mpf:
-        w = mpf(w)
-        acc = mpf(0)
-        for loc, ell in self.poles:
-            acc += ell / (w - loc) ** 2
-        for re, im, ell in self.attractors:
-            if im == 0:
-                acc -= ell / (w - re) ** 2
+                d1 += ell / (w - re)
+                d2 -= ell / (w - re) ** 2
             else:
                 t = (w - re) ** 2 + im**2
-                acc += 2 * ell * (im**2 - (w - re) ** 2) / t**2
-        return acc
+                d1 += 2 * ell * (w - re) / t
+                d2 += 2 * ell * (im**2 - (w - re) ** 2) / t**2
+        return d1, d2
 
 
 def _merged(a, b) -> bool:
@@ -263,7 +255,7 @@ def _check_reconstruction(fd: FieldDecomposition, ld: LadderData) -> None:
         if abs(denom) < mpf("1e-30") * max(p2.max_abs_coeff(), mpf(1)):
             continue
         direct = p1(x) / denom
-        recon = -fd.external_deriv(x)
+        recon = -fd.derivatives(x)[0]
         if abs(direct - recon) > rel * max(abs(direct), mpf(1)):
             raise AssumptionViolated(
                 f"partial-fraction reconstruction failed at x={x}: {direct} vs {recon}"
@@ -289,17 +281,18 @@ def gradient(fd: FieldDecomposition, omega) -> list:
             if diff == 0:
                 raise SingularConfiguration("coincident charges")
             g -= 1 / diff
-        g += fd.external_deriv(omega[k]) / 2
+        g += fd.derivatives(omega[k])[0] / 2
         out.append(g)
     return out
 
 
-def hessian(fd: FieldDecomposition, omega) -> mpmath.matrix:
+def hessian(curvatures, omega) -> mpmath.matrix:
+    """diag(curvatures) plus the graph Laplacian of the weights 1/(w_k - w_j)^2."""
     omega = [mpf(w) for w in omega]
     n = len(omega)
     H = mpmath.matrix(n, n)
     for k in range(n):
-        diag = fd.external_second_deriv(omega[k]) / 2
+        diag = curvatures[k]
         for i in range(n):
             if i == k:
                 continue
@@ -310,25 +303,13 @@ def hessian(fd: FieldDecomposition, omega) -> mpmath.matrix:
     return H
 
 
-def gershgorin_sufficient(fd: FieldDecomposition, omega) -> list:
-    """Per-charge external curvature v''(w_k)/2.  The Hessian is the diagonal
-    of these plus the graph Laplacian of the weights 1/(w_k - w_j)^2, which
-    is positive semidefinite; by Weyl's inequality it has no more negative
-    eigenvalues than curvatures <= 0, so all positive is sufficient for a
-    minimum."""
-    return [fd.external_second_deriv(mpf(w)) / 2 for w in omega]
-
-
 @dataclass
 class ElectroReport:
-    zeros: list
-    grad_norm: mpf
     hessian_eigs: list
     classification: Classification
     negative_index_set: list
     truncated_hessian_pd: bool
     gershgorin_curvatures: list
-    warnings: list
 
 
 def simple_zeros(family: SobolevFamily, n: int) -> list:
@@ -343,24 +324,32 @@ def simple_zeros(family: SobolevFamily, n: int) -> list:
     return zeros
 
 
-def gradient_bound(n: int) -> mpf:
-    """The largest gradient component at n zeros that is still a critical point."""
-    return tol(4) * n
-
-
-def field_at_zeros(family: SobolevFamily, n: int) -> FieldDecomposition:
-    """The field of S_n, decomposed after simple_zeros reads its zeros: electro
-    and verify share this order, so a product that fails both names one cause."""
-    simple_zeros(family, n)
-    return decompose_field(build_ladder(family, n), family)
-
-
-def classify(fd: FieldDecomposition, family: SobolevFamily, n: int) -> ElectroReport:
-    """Evaluate gradient/Hessian at the zeros of S_n and classify them."""
+def critical_point(family: SobolevFamily, n: int) -> tuple:
+    """(zeros, field, gradient) of S_n, the one path of electro and verify to
+    the critical point: the zeros are read before the field is decomposed, so
+    a product that fails both names one cause, and NotCritical is raised
+    where a gradient component exceeds tol(4) n."""
     zeros = simple_zeros(family, n)
+    fd = decompose_field(build_ladder(family, n), family)
     grad = gradient(fd, zeros)
-    grad_norm = max(abs(g) for g in grad)
-    H = hessian(fd, zeros)
+    worst = max(abs(g) for g in grad)
+    if not worst <= tol(4) * n:
+        raise NotCritical(f"gradient at zeros {worst}")
+    return zeros, fd, grad
+
+
+def classify(zeros, fd: FieldDecomposition) -> ElectroReport:
+    """Classify the critical point that critical_point returns by its Hessian.
+
+    The Hessian is the diagonal of the external curvatures v''(w_k)/2 plus
+    the graph Laplacian of the weights 1/(w_k - w_j)^2, which is positive
+    semidefinite; by Weyl's inequality it has no more negative eigenvalues
+    than curvatures <= 0, so all positive is sufficient for a minimum and the
+    saddle's negative index set needs no eigenvectors.  gradient has refused
+    a charge on a pole and two coincident charges, so every division is safe.
+    """
+    curvatures = [fd.derivatives(w)[1] / 2 for w in zeros]
+    H = hessian(curvatures, zeros)
     eigs = sym_eigen(H)
     hnorm = mpmath.mnorm(H, "f")
     near_zero = [abs(e) <= tol(4) * hnorm for e in eigs]
@@ -371,25 +360,17 @@ def classify(fd: FieldDecomposition, family: SobolevFamily, n: int) -> ElectroRe
     else:
         cls = Classification.SADDLE_POINT
 
-    curvatures = gershgorin_sufficient(fd, zeros)
-
     negative_set = []
     truncated_pd = True
     if cls is Classification.SADDLE_POINT:
-        # By Weyl's inequality (see gershgorin_sufficient) there are at least
-        # as many of these charges as negative eigenvalues, so the set needs
-        # no eigenvectors.
         negative_set = [k for k, c in enumerate(curvatures) if c <= 0]
-        keep = [k for k in range(n) if k not in negative_set]
+        keep = [k for k in range(len(zeros)) if k not in negative_set]
         truncated_pd = bool(keep) and cholesky_pd([[H[i, j] for j in keep] for i in keep])
 
     return ElectroReport(
-        zeros=zeros,
-        grad_norm=grad_norm,
         hessian_eigs=eigs,
         classification=cls,
         negative_index_set=negative_set,
         truncated_hessian_pd=truncated_pd,
         gershgorin_curvatures=curvatures,
-        warnings=list(fd.warnings),
     )

@@ -35,9 +35,17 @@ def _exact_div(num: Poly, den: Poly, family: SobolevFamily, what: str) -> Poly:
     return quot
 
 
-def _assert_degree(p: Poly, expected: int, what: str) -> None:
-    if p.degree != expected:
-        raise StructureError(f"{what}: degree {p.degree}, expected {expected}")
+def _leading(terms: list, expected: int, family: SobolevFamily, what: str) -> Poly:
+    """The sum of terms, of degree expected: its coefficient of x^expected must
+    not hold to 0 against the terms' own coefficients there (family.holds),
+    and none above it may survive."""
+    total = sum(terms[1:], terms[0])
+    lead = total.coeff(expected)
+    if total.degree > expected:
+        raise StructureError(f"{what}: degree {total.degree}, expected {expected}")
+    if family.holds(lead, max(abs(t.coeff(expected)) for t in terms)):
+        raise StructureError(f"{what}: leading coefficient {lead} of degree {expected} holds to 0")
+    return total
 
 
 @dataclass
@@ -141,19 +149,19 @@ def _build_ladder(family: SobolevFamily, n: int) -> LadderData:
         # Level n - 1 in the basis (P_n, P_{n-1}), by
         # gamma2_{n-1} P_{n-2} = (x - gamma1_{n-1}) P_{n-1} - P_n; level n's B2, B3.
         shift = Poly((-cache.gamma1s[n - 1], 1))
-        c2, d2 = -b2p, a2p + shift * b2p
+        c2 = -b2p
         c3, d3 = -b3p, a3p + shift * b3p
         b2n, b3n = cache.gamma2s[n] * b2n, cache.gamma2s[n] * b3n
 
-        # Only D2 and q1..q4 have their degrees checked: each is a sum of two
-        # terms of the same top degree, so its leading coefficient can cancel.
+        # Only D2 and q1..q4 have their degrees checked (_leading): each is a
+        # sum of two terms of the same top degree, whose leading terms can cancel.
         # Every other degree follows from these, since Poly arithmetic never
         # raises a degree and a product's degree is exactly the sum (mpmath
         # does not underflow).  rho is monic of degree d, so A2 is exactly d
         # with leading 1, B2 and C2 are at most d - 1, B3 and C3 at most d,
         # A3 and D3 at most d + 1; then Delta is exactly 2d, q0 exactly
         # 2d + 2, P2 exactly 6d + 4, P1 at most 6d + 3 and P0 at most 6d + 2.
-        _assert_degree(d2, d, "D2")
+        d2 = _leading([a2p, shift * b2p], d, family, "D2")
 
         delta_big = a2n * d2 - c2 * b2n
         rho = product.rho()
@@ -167,24 +175,18 @@ def _build_ladder(family: SobolevFamily, n: int) -> LadderData:
                 raise StructureError(f"Lambda_{m} positivity failed: {lam}")
 
         one_minus_x2 = Poly((1, 0, -1))
-        d1 = b3n * a2n - a3n * b2n
         dd2 = b3n * c2 - a3n * d2
         dd3 = b2n * c3 - a2n * d3
         field_part = one_minus_x2 * rho.deriv() * delta_small
 
         q0 = one_minus_x2 * delta_big
-        q1 = d1
-        q2 = field_part + dd2
-        q3 = field_part + dd3
-        q4 = c3 * d2 - d3 * c2
-
-        _assert_degree(q1, 2 * d, "q1")
-        _assert_degree(q2, 2 * d + 1, "q2")
-        _assert_degree(q3, 2 * d + 1, "q3")
-        _assert_degree(q4, 2 * d, "q4")
+        q1 = _leading([b3n * a2n, -(a3n * b2n)], 2 * d, family, "q1")
+        q2 = _leading([field_part, dd2], 2 * d + 1, family, "q2")
+        q3 = _leading([field_part, dd3], 2 * d + 1, family, "q3")
+        q4 = _leading([c3 * d2, -(d3 * c2)], 2 * d, family, "q4")
 
         rho_excess = product.rho_excess()
-        phi1 = _exact_div(d1, rho_excess, family, "Delta1 / rho_(d-N)")
+        phi1 = _exact_div(q1, rho_excess, family, "Delta1 / rho_(d-N)")
         phi2 = _exact_div(dd2, rho_excess, family, "Delta2 / rho_(d-N)")
         phi3 = _exact_div(dd3, rho_excess, family, "Delta3 / rho_(d-N)")
 

@@ -292,9 +292,9 @@ class TestDeterminism:
                 assert f1.read() == f2.read()
 
     def test_electro_roots_s_n_once_by_aberth(self, tmp_path, monkeypatch):
-        # decompose_field and classify both need the zeros of S_n: one
-        # two-stage Aberth solve gives them.  delta and phi1 take the same
-        # path, and nothing reaches mpmath.polyroots.
+        # critical_point reads the zeros of S_n once, for the field and the
+        # gradient: one two-stage Aberth solve gives them.  delta and phi1
+        # take the same path, and nothing reaches mpmath.polyroots.
         aberth_calls = []
         real_aberth = numkernel.aberth_roots
 
@@ -489,16 +489,17 @@ class TestExitCodes:
         assert checks.pop("electrostatic_critical_point")["detail"] == cause
         assert all(c["passed"] for c in checks.values())
 
+    # The zeros of S_12 are real and simple here, but the gradient of the
+    # energy there is about 5e17 at 64 and 128 bits.
+    NOT_CRITICAL = {"alpha": "0", "beta": "27", "n": 12,
+                    "points": [{"c": "10", "terms": [{"k": 0, "lambda": "0.01"}, {"k": 2, "lambda": "2"}]},
+                               {"c": "1.25", "terms": [{"k": 0, "lambda": "0.5"}, {"k": 2, "lambda": "100"}]},
+                               {"c": "-1.5", "terms": [{"k": 0, "lambda": "0.01"}, {"k": 2, "lambda": "0.5"}]}]}
+
     def test_electro_refuses_zeros_that_are_no_critical_point(self, tmp_path, capsys):
-        # The zeros of S_12 are real and simple here, but the gradient of the
-        # energy there is about 5e17 at 64 and 128 bits: electro names the
-        # cause by the bound at which verify's electrostatic_critical_point
-        # fails, and prints no classification.
-        doc = {"alpha": "0", "beta": "27", "n": 12,
-               "points": [{"c": "10", "terms": [{"k": 0, "lambda": "0.01"}, {"k": 2, "lambda": "2"}]},
-                          {"c": "1.25", "terms": [{"k": 0, "lambda": "0.5"}, {"k": 2, "lambda": "100"}]},
-                          {"c": "-1.5", "terms": [{"k": 0, "lambda": "0.01"}, {"k": 2, "lambda": "0.5"}]}]}
-        path = write_config(tmp_path, doc)
+        # electro names the cause by which verify's electrostatic_critical_point
+        # fails, in the same line, and prints no classification.
+        path = write_config(tmp_path, self.NOT_CRITICAL)
         out = str(tmp_path / "verify.json")
         for bits in ("64", "128"):
             assert main(["electro", "--config", path, "--precision", bits]) == 3
@@ -508,7 +509,31 @@ class TestExitCodes:
             capsys.readouterr()
             with open(out, encoding="utf-8") as fh:
                 checks = {c["name"]: c for c in json.load(fh)["checks"]}
-            assert checks["electrostatic_critical_point"]["detail"].startswith("StructureError: gradient at zeros ")
+            assert checks["electrostatic_critical_point"]["detail"] == err.rstrip("\n")
+
+    def test_no_critical_point_is_refused_before_the_hessian(self, tmp_path, capsys, monkeypatch):
+        # critical_point refuses the zeros before classify builds the Hessian
+        # and runs the eigensolver.
+        def no_eigensolver(H):
+            raise AssertionError("sym_eigen called")
+
+        monkeypatch.setattr(electrostatics, "sym_eigen", no_eigensolver)
+        path = write_config(tmp_path, self.NOT_CRITICAL)
+        assert main(["electro", "--config", path, "--precision", "128"]) == 3
+        assert capsys.readouterr().err.startswith("NotCritical: gradient at zeros ")
+
+    def test_vanishing_raising_operator_is_named(self, tmp_path, capsys):
+        # At n = 1 with alpha + beta = -1 level 0 gives C3 = 0, so q3 and q4
+        # vanish identically while the ODE still holds: ode and electro name
+        # that cause by the one rule at every precision, where a degree read
+        # off the rounding noise named another at each.
+        doc = {"alpha": "-0.5", "beta": "-0.5", "points": [{"c": "2", "terms": [{"k": 1, "lambda": "1"}]}], "n": 1}
+        path = write_config(tmp_path, doc)
+        cause = "StructureError: q3: leading coefficient 0.0 of degree 5 holds to 0\n"
+        for bits in ("128", "256", "1024"):
+            for command in ("ode", "electro"):
+                assert main([command, "--config", path, "--precision", bits]) == 3
+                assert capsys.readouterr().err == cause, (command, bits)
 
     def test_missing_config_is_2(self, tmp_path):
         assert main(["polys", "--config", str(tmp_path / "nope.json")]) == 2

@@ -15,10 +15,11 @@ from jacobisobolev.electrostatics import (
     _groups,
     _merged,
     classify,
+    critical_point,
     decompose_field,
-    gershgorin_sufficient,
     gradient,
     hessian,
+    simple_zeros,
 )
 from jacobisobolev.ladder import build_ladder
 from jacobisobolev.numkernel import cholesky_pd, sym_eigen, tol
@@ -87,37 +88,16 @@ class TestDecomposition:
         ld = build_ladder(ex3_family, 12)
         p2, p1 = ld.P2, ld.P1
         x = mpf("0.31")
-        assert abs(-fd3.external_deriv(x) - p1(x) / p2(x)) <= tol(4) * max(
-            1, abs(fd3.external_deriv(x))
-        )
+        v1 = fd3.derivatives(x)[0]
+        assert abs(-v1 - p1(x) / p2(x)) <= tol(4) * max(1, abs(v1))
 
 
 class TestEnergyDerivatives:
     def test_gradient_matches_finite_differences(self, fd3):
-        pts = [mpf(x) for x in ["-0.9", "-0.4", "0.3", "0.8", "2.4"]]
-        g = gradient(fd3, pts)
-        h = mpf("1e-10")
-        for k in range(len(pts)):
-            up = list(pts)
-            dn = list(pts)
-            up[k] += h
-            dn[k] -= h
-            fd_val = (energy(fd3, up) - energy(fd3, dn)) / (2 * h)
-            assert abs(fd_val - g[k]) <= mpf("1e-8") * max(1, abs(g[k]))
+        _assert_gradient_matches_finite_differences(fd3, [mpf(x) for x in ["-0.9", "-0.4", "0.3", "0.8", "2.4"]])
 
     def test_hessian_matches_finite_differences(self, fd2):
-        pts = [mpf(x) for x in ["-0.6", "0.1", "0.7"]]
-        H = hessian(fd2, pts)
-        h = mpf("1e-10")
-        for k in range(len(pts)):
-            up = list(pts)
-            dn = list(pts)
-            up[k] += h
-            dn[k] -= h
-            gu, gd = gradient(fd2, up), gradient(fd2, dn)
-            for j in range(len(pts)):
-                fd_val = (gu[j] - gd[j]) / (2 * h)
-                assert abs(fd_val - H[j, k]) <= mpf("1e-8") * max(1, abs(H[j, k]))
+        _assert_hessian_matches_finite_differences(fd2, [mpf(x) for x in ["-0.6", "0.1", "0.7"]])
 
     def test_coincident_charges_raise(self, fd3):
         with pytest.raises(SingularConfiguration):
@@ -137,20 +117,39 @@ class TestCriticalPoint:
         grad = gradient(fd, zeros)
         assert max(abs(g) for g in grad) <= tol(4) * 12
 
+    @pytest.mark.parametrize("which", [1, 2, 3])
+    def test_critical_point_is_the_field_at_the_simple_zeros(self, request, which):
+        family = request.getfixturevalue(f"ex{which}_family")
+        fd = request.getfixturevalue(f"fd{which}")
+        zeros, got, grad = critical_point(family, 12)
+        assert zeros == simple_zeros(family, 12)
+        assert (got.poles, got.attractors, got.warnings) == (fd.poles, fd.attractors, fd.warnings)
+        assert grad == gradient(fd, zeros)
+
+
+class TestSimpleZeros:
+    def test_complex_zero_config_rejected(self):
+        with pytest.raises(ZerosNotSimple):
+            simple_zeros(_StubFamily([(mpf(0), mpf(-1)), (mpf(0), mpf(1))]), 2)  # x^2 + 1
+
+    def test_close_zeros_rejected(self):
+        with pytest.raises(ZerosNotSimple, match="multiple"):
+            simple_zeros(_StubFamily([(mpf(0), mpf(0)), (tol(2) / 2, mpf(0))]), 2)
+
 
 class TestClassification:
     def test_example1_minimum(self, fd1, ex1_family):
-        report = classify(fd1, ex1_family, 12)
+        report = classify(simple_zeros(ex1_family, 12), fd1)
         assert report.classification is Classification.LOCAL_MINIMUM
         assert report.negative_index_set == []
         assert all(e > 0 for e in report.hessian_eigs)
 
     def test_example2_minimum(self, fd2, ex2_family):
-        report = classify(fd2, ex2_family, 12)
+        report = classify(simple_zeros(ex2_family, 12), fd2)
         assert report.classification is Classification.LOCAL_MINIMUM
 
     def test_example3_saddle(self, fd3, ex3_family):
-        report = classify(fd3, ex3_family, 12)
+        report = classify(simple_zeros(ex3_family, 12), fd3)
         assert report.classification is Classification.SADDLE_POINT
         assert sum(1 for e in report.hessian_eigs if e < 0) == 1
         # the negative direction is the outlier zero beyond the mass point
@@ -158,35 +157,26 @@ class TestClassification:
         assert report.truncated_hessian_pd
 
     def test_gershgorin_example1_all_positive(self, fd1, ex1_family):
-        zeros = zeros_of(ex1_family, 12).real_roots
-        assert all(v > 0 for v in gershgorin_sufficient(fd1, zeros))
+        curv = classify(simple_zeros(ex1_family, 12), fd1).gershgorin_curvatures
+        assert all(v > 0 for v in curv)
 
     def test_gershgorin_example3_flags_outlier(self, fd3, ex3_family):
-        zeros = zeros_of(ex3_family, 12).real_roots
-        curv = gershgorin_sufficient(fd3, zeros)
+        curv = classify(simple_zeros(ex3_family, 12), fd3).gershgorin_curvatures
         assert all(v > 0 for v in curv[:-1])
         assert curv[-1] < 0
-
-    def test_complex_zero_config_rejected(self, fd3):
-        with pytest.raises(ZerosNotSimple):
-            classify(fd3, _StubFamily([(mpf(0), mpf(-1)), (mpf(0), mpf(1))]), 2)  # x^2 + 1
-
-    def test_close_zeros_rejected(self, fd3):
-        with pytest.raises(ZerosNotSimple, match="multiple"):
-            classify(fd3, _StubFamily([(mpf(0), mpf(0)), (tol(2) / 2, mpf(0))]), 2)
 
     def test_empty_field_is_degenerate(self):
         # With no external field two charges only repel each other: H is
         # w [[1, -1], [-1, 1]], whose eigenvalue 0 belongs to translation.
         fd = FieldDecomposition(poles=[], attractors=[])
-        report = classify(fd, _StubFamily([(mpf(-1) / 2, mpf(0)), (mpf(1) / 2, mpf(0))]), 2)
+        report = classify([mpf(-1) / 2, mpf(1) / 2], fd)
         assert report.classification is Classification.DEGENERATE
         assert abs(report.hessian_eigs[0]) <= tol(4)
         assert report.negative_index_set == []
 
 
 class _StubFamily:
-    """A family that gives classify the zeros it is built with."""
+    """A family that gives simple_zeros the roots it is built with."""
 
     def __init__(self, roots):
         self.roots = roots
@@ -214,6 +204,46 @@ def _fields(draw):
     return FieldDecomposition(poles=poles, attractors=reals + pairs)
 
 
+def _curvatures(fd, pts):
+    return [fd.derivatives(w)[1] / 2 for w in pts]
+
+
+def _assert_gradient_matches_finite_differences(fd, pts):
+    g = gradient(fd, pts)
+    h = mpf("1e-10")
+    for k in range(len(pts)):
+        up = list(pts)
+        dn = list(pts)
+        up[k] += h
+        dn[k] -= h
+        fd_val = (energy(fd, up) - energy(fd, dn)) / (2 * h)
+        assert abs(fd_val - g[k]) <= mpf("1e-8") * max(1, abs(g[k]))
+
+
+def _assert_hessian_matches_finite_differences(fd, pts):
+    H = hessian(_curvatures(fd, pts), pts)
+    h = mpf("1e-10")
+    for k in range(len(pts)):
+        up = list(pts)
+        dn = list(pts)
+        up[k] += h
+        dn[k] -= h
+        gu, gd = gradient(fd, up), gradient(fd, dn)
+        for j in range(len(pts)):
+            fd_val = (gu[j] - gd[j]) / (2 * h)
+            assert abs(fd_val - H[j, k]) <= mpf("1e-8") * max(1, abs(H[j, k]))
+
+
+@given(_fields(), _zeros)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_hessian_matches_finite_differences_on_random_fields(fd, zeros):
+    # Poles, real attractors and conjugate pairs: the gradient against the
+    # energy oracle, the Hessian against the gradient, so that both of
+    # FieldDecomposition.derivatives' values are held against the energy.
+    _assert_gradient_matches_finite_differences(fd, zeros)
+    _assert_hessian_matches_finite_differences(fd, zeros)
+
+
 @given(_fields(), _zeros)
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_negative_eigenvalues_are_bounded_by_curvatures(fd, zeros):
@@ -221,9 +251,9 @@ def test_negative_eigenvalues_are_bounded_by_curvatures(fd, zeros):
     # semidefinite, so by Weyl's inequality H has at most as many negative
     # eigenvalues as there are curvatures <= 0; classify reads the negative
     # directions off the curvatures alone and needs no eigenvectors.
-    H = hessian(fd, zeros)
+    curvatures = _curvatures(fd, zeros)
+    H = hessian(curvatures, zeros)
     eigs = sym_eigen(H)
-    curvatures = gershgorin_sufficient(fd, zeros)
     assert sum(1 for e in eigs if e < 0) <= sum(1 for c in curvatures if c <= 0)
     if all(c > 0 for c in curvatures):
         assert all(e > 0 for e in eigs)

@@ -24,17 +24,20 @@ wraps it and records for each op the
 lowest and highest margin of each alarm, log2(2^-p max(1, |size|) /
 |residual|) in bits, keyed by the calling function and the alarm's `what`
 (for `cmd_verify`, the suite's name; where the caller has neither, the line
-number of the call).  An identity alarm fires below 0; the solve's pivot
-check, which fires where its pivot ratio holds, fires at 0 or above.
-Generated configs go to `CHECKOUT/.op_parity_work/`.
+number of the call).  An identity alarm fires below 0.  Two alarms fire
+where their quantity holds, that is at 0 or above: the solve's pivot check
+(its pivot ratio) and the ladder's degree check `_leading` (the leading
+coefficient of D2 or q1..q4).  Generated configs go to
+`CHECKOUT/.op_parity_work/`.
 
-`fuzz` runs `verify` on products beyond the benchmark's envelope: for each
-seed, FUZZ_PRODUCTS products with alpha from FUZZ_ALPHAS, beta from 0 to 120,
-one to three points at |c| from 1 to 10 (FUZZ_LOCATIONS, either sign, so
-also on the endpoints), one or two orders of at most 2 per point with masses
-from FUZZ_LAMBDAS, and n from FUZZ_N, each product at every precision of
-FUZZ_PRECISIONS.  It writes the same record as `run`, with each report, so
-`diff` compares two checkouts' fuzz records as it does their runs.
+`fuzz` runs `verify` and `electro` on products beyond the benchmark's
+envelope: for each seed, FUZZ_PRODUCTS products with alpha from FUZZ_ALPHAS,
+beta from 0 to 120, one to three points at |c| from 1 to 10 (FUZZ_LOCATIONS,
+either sign, so also on the endpoints), one or two orders of at most 2 per
+point with masses from FUZZ_LAMBDAS, and n from FUZZ_N, each product at every
+precision of FUZZ_PRECISIONS, recorded as `verify-<stem>-<bits>` and
+`electro-<stem>-<bits>`.  It writes the same record as `run`, with each
+report, so `diff` compares two checkouts' fuzz records as it does their runs.
 
 `diff` pairs the ops of two records by (seed, op id), prints every change of
 outcome and of digits and, for each `zeros` op whose report changed but
@@ -43,10 +46,13 @@ for each such `ode` op, the printed fields that changed and the largest
 coefficient move relative to its polynomial's largest |coefficient|, and it
 counts the `ode` reports whose only change is `ode_residual`;
 it prints every op whose stderr changed but whose outcome did not, counts
-the changed reports and stderrs per command, and exits 1 when an op's outcome
-gets worse, its digits drop by more than MAX_DIGIT_DROP, or a shipped-config
-or fuzz report with the same outcome differs from the base's beyond tol(2)
-(`checks.diff_reports`); a `verify` check that failed on the base side and
+the changed reports and stderrs per command, counts on each side the fuzz
+products and precisions where `electro` reads what `verify`'s
+`electrostatic_critical_point` check reads (the same failing line, or exit 0
+beside a passing check) and prints those where it does not, and exits 1
+when an op's outcome gets worse, its digits drop by more than
+MAX_DIGIT_DROP, or a shipped-config or fuzz report with the same outcome
+differs from the base's beyond tol(2) (`checks.diff_reports`); a `verify` check that failed on the base side and
 passes, or fails otherwise, is printed and not counted as worse.  It also
 prints, for each alarm and precision, the lowest and highest margin over all
 ops on each side and the ops where they fall.
@@ -239,7 +245,7 @@ def fuzz_configs(seed: int) -> list:
         ]
         doc = {"alpha": rng.choice(FUZZ_ALPHAS), "beta": str(rng.randint(0, 120)), "points": points,
                "n": rng.choice(FUZZ_N)}
-        out.append((f"verify-{i:02d}-n{doc['n']}", doc))
+        out.append((f"{i:02d}-n{doc['n']}", doc))
     return out
 
 
@@ -259,8 +265,9 @@ def fuzz(args) -> int:
             with open(config, "w", encoding="utf-8") as fh:
                 json.dump(doc, fh, indent=1)
             for bits in FUZZ_PRECISIONS:
-                argv = ["verify", "--config", config, "--precision", str(bits)]
-                records.append(op_record(cli.main, margins, seed, f"{stem}-{bits}", bits, argv))
+                for command in ("verify", "electro"):
+                    argv = [command, "--config", config, "--precision", str(bits)]
+                    records.append(op_record(cli.main, margins, seed, f"{command}-{stem}-{bits}", bits, argv))
         done = [r for r in records if r["seed"] == seed]
         print(f"seed {seed}: {sum(r['outcome'] == 'ok' for r in done)}/{len(done)} ok", file=sys.stderr)
     return write_record(args, root, records)
@@ -345,6 +352,32 @@ def verify_moves(where, base_report, new_report) -> None:
         new_report["checks"].remove(check)
 
 
+def electro_beside_verify(records) -> tuple:
+    """(agreeing, paired, disagreements) over the fuzz products and precisions of a
+    record that ran both: `electro` agrees where it exits with the line that
+    `verify`'s electrostatic_critical_point check fails by, where it exits 0
+    beside a passing check, or where both exit with one line before any check."""
+    agreeing, paired, disagreements = 0, 0, []
+    for (seed, op_id), e in sorted(records.items()):
+        v = records.get((seed, "verify-" + op_id[len("electro-"):]))
+        if e["command"] != "electro" or v is None or not seed:
+            continue
+        if v.get("report"):
+            check = next((c for c in json.loads(v["report"])["checks"]
+                          if c["name"] == "electrostatic_critical_point"), None)
+            if check is None:
+                continue
+            want = ("ok", "") if check["passed"] else ("exit3", check["detail"] + "\n")
+        else:
+            want = (v["outcome"], v["stderr"])
+        paired += 1
+        if (e["outcome"], e["stderr"]) == want:
+            agreeing += 1
+        else:
+            disagreements.append(f"seed {seed} {op_id}: electro {e['outcome']} {e['stderr']!r}, verify {want!r}")
+    return agreeing, paired, disagreements
+
+
 def margin_range(records) -> dict:
     """(alarm, bits) -> [(lowest margin in bits, op), (highest, op)] over a run record."""
     out = {}
@@ -403,6 +436,12 @@ def diff(args) -> int:
         sides = [f"{side} " + (", ".join(f"{m:.1f} bits ({op})" for m, op in ranges[side][alarm, bits])
                                if (alarm, bits) in ranges[side] else "-") for side in ranges]
         print(f"margin {alarm} at {bits or '?'} bits, lowest and highest: " + "; ".join(sides))
+    for side, records in (("base", base), ("new", new)):
+        agreeing, paired, disagreements = electro_beside_verify(records)
+        for line in disagreements:
+            print(f"electro beside verify ({side}): {line}")
+        if paired:
+            print(f"electro beside verify ({side}): {agreeing} of {paired} fuzz ops read one cause")
     missing = base.keys() ^ new.keys()
     print(f"{len(base.keys() & new.keys())} ops paired, {len(missing)} unpaired")
     for command in sorted({r["command"] for r in new.values()}):
@@ -491,7 +530,7 @@ def main(argv=None) -> int:
     r.add_argument("--out", required=True)
     r.add_argument("--root", default=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                    help="checkout whose src/ and perfbench/ are used (default: this one)")
-    z = sub.add_parser("fuzz", help="run verify on the seeds' out-of-envelope products at each fuzz precision")
+    z = sub.add_parser("fuzz", help="run verify and electro on the seeds' out-of-envelope products at each fuzz precision")
     z.add_argument("--seeds", required=True, help="A-B or A")
     z.add_argument("--out", required=True)
     z.add_argument("--root", default=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
