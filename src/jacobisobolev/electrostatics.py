@@ -264,6 +264,11 @@ def _check_reconstruction(fd: FieldDecomposition, ld: LadderData) -> None:
 
 
 def gradient(fd: FieldDecomposition, omega) -> list:
+    """The energy's gradient, -sum_{i != k} 1/(w_k - w_i) + v'(w_k)/2 for each
+    k; SingularConfiguration where a charge sits on a pole, on a real
+    attractor or on another charge.  Each pair's 1/(w_k - w_i) is computed
+    once, for k < i, and negated for (i, k): rounding to nearest is
+    symmetric, so the sums are the ones the per-(k, i) formula gives."""
     omega = [mpf(w) for w in omega]
     n = len(omega)
     for w in omega:
@@ -271,35 +276,44 @@ def gradient(fd: FieldDecomposition, omega) -> list:
             raise SingularConfiguration(f"charge coincides with pole {w}")
         if any(im == 0 and w == re for re, im, _ in fd.attractors):
             raise SingularConfiguration(f"charge coincides with attractor {w}")
+    inv = {}
+    for k in range(n):
+        for i in range(k + 1, n):
+            diff = omega[k] - omega[i]
+            if diff == 0:
+                raise SingularConfiguration("coincident charges")
+            inv[k, i] = 1 / diff
+            inv[i, k] = -inv[k, i]
     out = []
     for k in range(n):
         g = mpf(0)
         for i in range(n):
-            if i == k:
-                continue
-            diff = omega[k] - omega[i]
-            if diff == 0:
-                raise SingularConfiguration("coincident charges")
-            g -= 1 / diff
-        g += fd.derivatives(omega[k])[0] / 2
-        out.append(g)
+            if i != k:
+                g -= inv[k, i]
+        out.append(g + fd.derivatives(omega[k])[0] / 2)
     return out
 
 
 def hessian(curvatures, omega) -> mpmath.matrix:
-    """diag(curvatures) plus the graph Laplacian of the weights 1/(w_k - w_j)^2."""
+    """diag(curvatures) plus the graph Laplacian of the weights 1/(w_k - w_j)^2.
+    Each pair's weight is computed once, for k < j, and summed into both
+    diagonals in the order k, j run: (w_j - w_k)^2 rounds to (w_k - w_j)^2
+    exactly, so the matrix is the one the per-(k, j) formula gives."""
     omega = [mpf(w) for w in omega]
     n = len(omega)
+    weight = {}
+    for k in range(n):
+        for j in range(k + 1, n):
+            weight[k, j] = weight[j, k] = 1 / (omega[k] - omega[j]) ** 2
     H = mpmath.matrix(n, n)
     for k in range(n):
         diag = curvatures[k]
         for i in range(n):
-            if i == k:
-                continue
-            diag += 1 / (omega[k] - omega[i]) ** 2
+            if i != k:
+                diag += weight[k, i]
         H[k, k] = diag
         for j in range(k + 1, n):
-            H[k, j] = H[j, k] = -1 / (omega[k] - omega[j]) ** 2
+            H[k, j] = H[j, k] = -weight[k, j]
     return H
 
 

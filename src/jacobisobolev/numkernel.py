@@ -24,6 +24,7 @@ from typing import Iterable, Sequence
 
 import mpmath
 from mpmath import libmp, mp, mpc, mpf
+from mpmath.matrices.eigen_symmetric import r_sy_tridiag, tridiag_eigen
 
 # Real-root snapping threshold of aberth_roots.
 ROOT_SNAP_TOL = mpf("1e-20")
@@ -250,12 +251,31 @@ def relative_residual(terms: Sequence[Poly]) -> mpf:
     return resid / max(mpf(1), *(t.max_abs_coeff() for t in terms))
 
 
+class _Entries(dict):
+    """The (i, j) -> entry table, with its order in ``rows``, that r_sy_tridiag
+    reads and overwrites in place of an mpmath.matrix.  Without eigenvectors
+    it touches only entries with i <= j, so only those are copied."""
+
+    def __init__(self, M: mpmath.matrix):
+        super().__init__(((i, j), M[i, j]) for j in range(M.rows) for i in range(j + 1))
+        self.rows = M.rows
+
+
 def sym_eigen(M: mpmath.matrix) -> list:
-    """Eigenvalues of a symmetric matrix (mpmath's ``eigsy``), sorted ascending."""
+    """Eigenvalues of a symmetric matrix, sorted ascending: the Householder
+    reduction to tridiagonal form and the implicit QL iteration that
+    ``mpmath.eigsy(M, eigvals_only=True)`` runs, rounding for rounding, on a
+    dict of the upper triangle and two lists, which spares every element
+    access the matrix class's checks.  EigenFailure where the QL iteration
+    does not converge."""
+    n = M.rows
+    d, e = [mpf(0)] * n, [mpf(0)] * n
     try:
-        return sorted(mpmath.eigsy(M, eigvals_only=True))
+        r_sy_tridiag(mp, _Entries(M), d, e, calc_ev=False)
+        tridiag_eigen(mp, d, e, False)
     except RuntimeError as exc:
         raise EigenFailure(str(exc)) from exc
+    return sorted(d)
 
 
 def cholesky(A: Sequence[Sequence]) -> list:

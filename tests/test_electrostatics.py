@@ -262,6 +262,55 @@ def test_negative_eigenvalues_are_bounded_by_curvatures(fd, zeros):
         assert cholesky_pd([[H[i, j] for j in keep] for i in keep])
 
 
+# Distinct charges k/999983, none on a multiple of 1/32 (a pole or an
+# attractor of _fields), whose differences and reciprocals round.
+_charges = st.lists(st.integers(-999_982, 999_982).filter(bool), min_size=1, max_size=9, unique=True).map(
+    lambda ks: [mpf(k) / 999_983 for k in ks]
+)
+
+
+def _gradient_per_ordered_pair(fd, omega):
+    """gradient's sums as written, one 1/(w_k - w_i) per ordered pair."""
+    out = []
+    for k in range(len(omega)):
+        g = mpf(0)
+        for i in range(len(omega)):
+            if i != k:
+                g -= 1 / (omega[k] - omega[i])
+        g += fd.derivatives(omega[k])[0] / 2
+        out.append(g)
+    return out
+
+
+def _hessian_per_ordered_pair(curvatures, omega):
+    """hessian's entries as written, one 1/(w_k - w_j)^2 per ordered pair."""
+    n = len(omega)
+    H = [[mpf(0)] * n for _ in range(n)]
+    for k in range(n):
+        diag = curvatures[k]
+        for i in range(n):
+            if i != k:
+                diag += 1 / (omega[k] - omega[i]) ** 2
+        H[k][k] = diag
+        for j in range(k + 1, n):
+            H[k][j] = H[j][k] = -1 / (omega[k] - omega[j]) ** 2
+    return H
+
+
+@given(_fields(), _charges)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_each_pair_once_is_the_per_ordered_pair_sum_bit_for_bit(fd, charges):
+    # gradient and hessian compute each pair's term once and negate or reuse
+    # it for the other order; rounding to nearest is symmetric, so every
+    # entry is the mpf of the per-ordered-pair formula.
+    assert [g._mpf_ for g in gradient(fd, charges)] == [g._mpf_ for g in _gradient_per_ordered_pair(fd, charges)]
+    curvatures = _curvatures(fd, charges)
+    H = hessian(curvatures, charges)
+    want = _hessian_per_ordered_pair(curvatures, charges)
+    n = len(charges)
+    assert [[H[i, j]._mpf_ for j in range(n)] for i in range(n)] == [[x._mpf_ for x in row] for row in want]
+
+
 @given(st.lists(st.integers(0, 40), max_size=12))
 @settings(max_examples=60, deadline=None, derandomize=True)
 @example([0, 6, 9, 12])  # the chain {1.5, 2.25, 3} t has mean 2.25 t, within 3 t of 0

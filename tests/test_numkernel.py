@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import libmp, mp, mpc, mpf
 
@@ -35,6 +35,22 @@ def monomial_evaluator(p):
     """(p(z), p'(z), sum_k |c_k z^k|): aberth_roots' evaluator for a Poly."""
     dp = p.deriv()
     return lambda z: (p(z), dp(z), sum(abs(c) * abs(z) ** k for k, c in enumerate(p.coeffs)))
+
+
+@st.composite
+def _symmetric_matrices(draw):
+    """(precision, rows) of a symmetric matrix of order 1-12: dense, diagonal
+    or sparse, with entries of mixed magnitudes."""
+    n = draw(st.integers(1, 12))
+    shape = draw(st.sampled_from(["dense", "diagonal", "sparse"]))
+    rows = [[mpf(0)] * n for _ in range(n)]
+    for j in range(n):
+        for i in range(j + 1):
+            if i != j and (shape == "diagonal" or shape == "sparse" and draw(st.booleans())):
+                continue
+            x = mpf(draw(st.integers(-(10**6), 10**6))) / 999_983 * mpf(2) ** draw(st.integers(-40, 40))
+            rows[i][j] = rows[j][i] = x
+    return draw(st.sampled_from([53, 64, 128, 256, 512])), rows
 
 
 small_coeffs = st.lists(
@@ -278,9 +294,27 @@ class TestLinearAlgebra:
         def no_convergence(*args, **kwargs):
             raise RuntimeError("tridiag_eigen: no convergence")
 
-        monkeypatch.setattr(mpmath, "eigsy", no_convergence)
+        monkeypatch.setattr(numkernel, "tridiag_eigen", no_convergence)
         with pytest.raises(EigenFailure):
             sym_eigen(mpmath.matrix([[2, 1], [1, 2]]))
+
+    @given(_symmetric_matrices())
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @example((53, [[mpf(3)]]))
+    @example((256, [[mpf(0)]]))
+    @example((128, [[mpf(2), 0], [0, mpf(-5)]]))
+    def test_sym_eigen_is_eigsy_bit_for_bit(self, drawn):
+        # The same reduction and QL iteration as eigsy, on a dict and lists
+        # instead of mpmath.matrix: every eigenvalue is the same mpf, never
+        # the int 0 that tred2 writes into D and E for a 1x1 or a column of
+        # zeros (a report formats an int differently).
+        prec, rows = drawn
+        with mp.workprec(prec):
+            m = mpmath.matrix(rows)
+            got = sym_eigen(m)
+            want = sorted(mpmath.eigsy(m, eigvals_only=True))
+        assert all(isinstance(e, mpf) for e in got)
+        assert [e._mpf_ for e in got] == [e._mpf_ for e in want]
 
     @given(st.lists(st.integers(-9, 9), min_size=9, max_size=9))
     @settings(max_examples=30, deadline=None)
