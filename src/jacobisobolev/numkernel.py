@@ -264,11 +264,13 @@ class _Entries(dict):
 def sym_eigen(M: mpmath.matrix) -> list:
     """Eigenvalues of a symmetric matrix, sorted ascending: the Householder
     reduction to tridiagonal form and the implicit QL iteration that
-    ``mpmath.eigsy(M, eigvals_only=True)`` runs, rounding for rounding, on a
+    ``mpmath.eigsy`` runs for eigenvalues only, rounding for rounding, on a
     dict of the upper triangle and two lists, which spares every element
     access the matrix class's checks.  EigenFailure where the QL iteration
     does not converge."""
     n = M.rows
+    if not n:
+        return []  # r_sy_tridiag would write E[n - 1]
     d, e = [mpf(0)] * n, [mpf(0)] * n
     try:
         r_sy_tridiag(mp, _Entries(M), d, e, calc_ev=False)

@@ -298,6 +298,9 @@ class TestLinearAlgebra:
         with pytest.raises(EigenFailure):
             sym_eigen(mpmath.matrix([[2, 1], [1, 2]]))
 
+    def test_sym_eigen_of_the_empty_matrix(self):
+        assert sym_eigen(mpmath.matrix(0, 0)) == list(mpmath.eigsy(mpmath.matrix(0, 0), eigvals_only=True)) == []
+
     @given(_symmetric_matrices())
     @settings(max_examples=80, deadline=None, derandomize=True)
     @example((53, [[mpf(3)]]))
@@ -305,9 +308,10 @@ class TestLinearAlgebra:
     @example((128, [[mpf(2), 0], [0, mpf(-5)]]))
     def test_sym_eigen_is_eigsy_bit_for_bit(self, drawn):
         # The same reduction and QL iteration as eigsy, on a dict and lists
-        # instead of mpmath.matrix: every eigenvalue is the same mpf, never
-        # the int 0 that tred2 writes into D and E for a 1x1 or a column of
-        # zeros (a report formats an int differently).
+        # instead of mpmath.matrix: every eigenvalue is the same mpf, and
+        # none is a Python int 0 like those tred2 writes into D and E, which
+        # the matrix class converted and a list keeps (a report formats an
+        # int differently).
         prec, rows = drawn
         with mp.workprec(prec):
             m = mpmath.matrix(rows)
