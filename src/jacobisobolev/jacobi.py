@@ -65,7 +65,8 @@ def norm0(params: JacobiParams) -> mpf:
 class JacobiCache:
     """Monic Jacobi recurrence coefficients and norms through a requested
     degree, grown append-only.  The monomial form of P_k is built the first
-    time poly(k) asks for it.
+    time poly(k) asks for it, coefficient by coefficient from the recurrence
+    [x^i] P_k = [x^(i-1)] P_{k-1} - gamma1 [x^i] P_{k-1} - gamma2 [x^i] P_{k-2}.
 
     Everything the cache stores is computed at ``prec``, the working
     precision at construction, whatever the precision of the call that grows
@@ -107,15 +108,19 @@ class JacobiCache:
         if len(polys) > k:
             return polys[k]
         with mp.workprec(self.prec):
+            if not polys:
+                polys.append(Poly.one())
             while len(polys) <= k:
+                # Each coefficient rounded in the order of the Poly expression
+                # (x - gamma1) P_{j-1} - gamma2 P_{j-2}.
                 j = len(polys)
-                if j == 0:
-                    p = Poly.one()
-                else:
-                    p = Poly.x() * polys[j - 1] - self.gamma1s[j - 1] * polys[j - 1]
-                    if j >= 2:
-                        p = p - self.gamma2s[j - 1] * polys[j - 2]
-                polys.append(p)
+                p1 = polys[j - 1].coeffs
+                g1, g2 = self.gamma1s[j - 1], self.gamma2s[j - 1]
+                cs = [a - g1 * b for a, b in zip((0,) + p1, p1)] + [p1[-1]]
+                if j >= 2:
+                    p2 = polys[j - 2].coeffs
+                    cs[: len(p2)] = [a - g2 * b for a, b in zip(cs, p2)]
+                polys.append(Poly._of(cs))
         return polys[k]
 
     def norm(self, k: int) -> mpf:

@@ -198,9 +198,10 @@ def _build_ladder(family: SobolevFamily, n: int) -> LadderData:
             raise StructureError("derivative connection identity failed")
 
         # The second-order ODE P2 S_n'' + P1 S_n' + P0 S_n = 0.
+        q12 = q1 * q2
         p2 = q1 * q0 * q0
-        p1 = q0 * (q1 * q2 + q1 * q3 + q0.deriv() * q1 - q0 * q1.deriv())
-        p0 = q1 * q2 * q3 + q0 * (q2.deriv() * q1 - q2 * q1.deriv()) - q4 * q1 * q1
+        p1 = q0 * (q12 + q1 * q3 + q0.deriv() * q1 - q0 * q1.deriv())
+        p0 = q12 * q3 + q0 * (q2.deriv() * q1 - q2 * q1.deriv()) - q4 * q1 * q1
 
         return LadderData(
             n=n,

@@ -110,10 +110,6 @@ class Poly:
         return cls((1,))
 
     @classmethod
-    def x(cls) -> "Poly":
-        return cls((0, 1))
-
-    @classmethod
     def from_roots(cls, roots: Sequence) -> "Poly":
         p = cls.one()
         for r in roots:

@@ -194,14 +194,16 @@ class SobolevFamily:
     - gamma2_nu P_{nu-1}^(k)(c), which computes the dominant solution for
     |c| >= 1 and so runs forward stably (Gautschi, SIAM Review 9, 1967).
     v_nu is its restriction to the active pairs, and ``kernel(m)`` sums
-    K_{m-1}(C, C) = sum_{nu<m} v_nu v_nu^T / h_nu from the table.  The
+    K_{m-1}(C, C) = sum_{nu<m} v_nu v_nu^T / h_nu from the table, each entry
+    one mpmath.fdot: exact products, one rounding.  The
     derivative vector s_m of S_m solves (I + K_{m-1} L) s_m = v_m, that is
     (L^-1 + K_{m-1}) w_m = v_m with w_m = L s_m: a Gram matrix plus a
     positive diagonal, so one Cholesky factorisation solves it, and a failed
     one is an InternalContradiction.  S_m = sum_nu a_nu P_nu with a_m = 1 and
     a_nu = -w_m . v_nu / h_nu, and Lambda_m = w_m . v_m.  The first read of
     degree m solves it in O(m d*^2 + d*^3) and keeps (s_m, Lambda_m, a) in
-    ``degrees``; ``poly`` builds the monomial form only when asked.  ``memo``
+    ``degrees``; ``poly`` builds the monomial form only when asked, each
+    coefficient [x^k] S_m = sum_{nu>=k} a_nu [x^k] P_nu one fdot.  ``memo``
     holds the results of zeros and of the ladder layer's build_ladder and
     connection_level per (kind, n, working precision of the call).
 
@@ -256,16 +258,17 @@ class SobolevFamily:
         return self._degree(m)[2]
 
     def poly(self, m: int) -> Poly:
-        """S_m in monomial form, summed from its Jacobi coefficients on first
-        use and checked by Horner's rule at the mass points: each derivative
-        must hold the solved s_m to 2^-p of the sum of |a_i c^i| over its
-        Horner terms."""
+        """S_m in monomial form, built on first use with each coefficient
+        [x^k] S_m = sum_{nu>=k} a_nu [x^k] P_nu one fdot, and checked by
+        Horner's rule at the mass points: each derivative must hold the
+        solved s_m to 2^-p of the sum of |a_i c^i| over its Horner terms."""
         if m not in self.sob_polys:
             sder = self.deriv_vector(m)
             with self.guard():
                 cache = self.jacobi_cache
                 row = self.jacobi_coeffs(m)
-                sm = sum((a * cache.poly(nu) for nu, a in enumerate(row)), Poly.zero())
+                coeffs = [cache.poly(nu).coeffs for nu in range(m + 1)]
+                sm = Poly._of([fdot(row[k:], (p[k] for p in coeffs[k:])) for k in range(m + 1)])
                 for (j, k, _), sval in zip(self.product.active_pairs, sder):
                     dk, c = sm.deriv(k), self.product.points[j].c
                     direct = dk(c)
@@ -327,18 +330,20 @@ class SobolevFamily:
         return out
 
     def kernel(self, m: int) -> list:
-        """K_{m-1}(C, C) over the active pairs, from table rows 0..m-1 at 2p,
-        each entry summed in ascending nu."""
+        """K_{m-1}(C, C) over the active pairs, from table rows 0..m-1 at 2p:
+        each entry K_ab = sum_{nu<m} (v_nu[a] / h_nu) v_nu[b] is one fdot,
+        rounded once, taken for a >= b and mirrored, so K is exactly
+        symmetric."""
         self.extend(m - 1)
         dstar = self.product.d_star
         kmat = [[mpf(0)] * dstar for _ in range(dstar)]
         with self.guard():
-            for nu in range(m):
-                v, h = self._on_pairs(nu), self.jacobi_cache.norm(nu)
-                for i in range(dstar):
-                    for j in range(i + 1):
-                        kmat[i][j] += v[i] * v[j] / h
-                        kmat[j][i] = kmat[i][j]
+            norms = self.jacobi_cache.norms
+            columns = [[row[j][k] for row in self.table[:m]] for j, k, _ in self.product.active_pairs]
+            for i, col in enumerate(columns):
+                scaled = [v / h for v, h in zip(col, norms)]
+                for j in range(i + 1):
+                    kmat[i][j] = kmat[j][i] = fdot(scaled, columns[j])
         return kmat
 
     def _degree(self, m: int) -> tuple:

@@ -54,6 +54,22 @@ class TestRecurrence:
                 want = ref(x)
                 assert abs(got - want) <= tol(2) * max(1, abs(want))
 
+    @pytest.mark.parametrize("prec", [53, 128, 256, 512, 1024])
+    @pytest.mark.parametrize("a,b", [(0, 0), ("7.25", "7.25"), ("-0.5", "-0.5"), ("-0.9", "-0.1"), ("0.5", 120)])
+    def test_poly_is_the_poly_recurrence_bit_for_bit(self, prec, a, b):
+        # The coefficient recurrence rounds each coefficient as the Poly
+        # expression (x - gamma1) P_{j-1} - gamma2 P_{j-2} does.
+        with mp.workprec(prec):
+            cache = build_jacobi(JacobiParams(mpf(a), mpf(b)), 44)
+            want = [Poly.one()]
+            for j in range(1, 45):
+                p = Poly((0, 1)) * want[j - 1] - cache.gamma1s[j - 1] * want[j - 1]
+                if j >= 2:
+                    p = p - cache.gamma2s[j - 1] * want[j - 2]
+                want.append(p)
+        for k in range(45):
+            assert [c._mpf_ for c in cache.poly(k).coeffs] == [c._mpf_ for c in want[k].coeffs], k
+
     @pytest.mark.parametrize("a,b", PARAM_SETS)
     def test_monic(self, a, b):
         cache = build_jacobi(JacobiParams(a, b), 8)

@@ -130,6 +130,21 @@ class TestODE:
             ld = build_ladder(family, n)
             assert family.holds(ode_residual(ld, family), 1)
 
+    @pytest.mark.parametrize("which", [0, 1, 2, 3])
+    def test_coefficients_are_the_product_expressions_bit_for_bit(self, all_families, which):
+        # build_ladder shares q1 q2 between P1 and P0; Python reads q1 q2 q3
+        # as (q1 q2) q3, so each coefficient is the one these expressions give.
+        family = all_families[which]
+        raw = lambda poly: [c._mpf_ for c in poly.coeffs]
+        for n in (1, 2, 12):
+            ld = build_ladder(family, n)
+            q0, q1, q2, q3, q4 = ld.q0, ld.q1, ld.q2, ld.q3, ld.q4
+            with family.guard():
+                p2 = q1 * q0 * q0
+                p1 = q0 * (q1 * q2 + q1 * q3 + q0.deriv() * q1 - q0 * q1.deriv())
+                p0 = q1 * q2 * q3 + q0 * (q2.deriv() * q1 - q2 * q1.deriv()) - q4 * q1 * q1
+            assert (raw(ld.P2), raw(ld.P1), raw(ld.P0)) == (raw(p2), raw(p1), raw(p0)), n
+
     def test_leading_degree(self, ex1_family):
         ld = build_ladder(ex1_family, 5)
         assert ld.P2.degree == 6 * ex1_family.product.d + 4

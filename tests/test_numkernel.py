@@ -83,7 +83,6 @@ class TestPoly:
         assert Poly.zero().is_zero()
         assert Poly((0, 0, 0)).is_zero()
         assert Poly((3,)).degree == 0
-        assert Poly.x().degree == 1
 
     def test_string_coefficients_full_precision(self):
         p = Poly(("0.1",))

@@ -294,6 +294,48 @@ class TestJacobiTable:
             sm = family.poly(m)
             assert (sm - want).max_abs_coeff() <= tol(3) * max(1, want.max_abs_coeff()), m
 
+    # c of the two tests below: the largest measured error over the four
+    # products, m <= 24 and p in {53, 128, 256, 512} is 34.6 for the kernel
+    # (the table's own rounding, ex2 at 53 bits) and 7.4 for S_m (ex1 at 256).
+    @pytest.mark.parametrize("prec", [53, 256, 512])
+    @pytest.mark.parametrize("which", range(4))
+    def test_kernel_is_its_sum_rounded_once(self, all_products, which, prec):
+        # K_{m-1}(C, C) is exactly symmetric, and each entry holds kernel_dk
+        # at 2p + 256 bits to 2^7 2^-2p of sum_nu |v_nu[a] v_nu[b]| / h_nu.
+        product = all_products[which]
+        pairs = product.active_pairs
+        cs = [product.points[j].c for j, _, _ in pairs]
+        with mp.workprec(prec):
+            family = build_family(product, 24)
+        with mp.workprec(2 * prec + 256):
+            ref_cache = build_jacobi(product.jacobi, 24)
+            for m in range(1, 25):
+                kmat = family.kernel(m)
+                values = [family._on_pairs(nu) for nu in range(m)]
+                for a, ((_, ka, _), ca) in enumerate(zip(pairs, cs)):
+                    for b, ((_, kb, _), cb) in enumerate(zip(pairs, cs)):
+                        assert kmat[a][b]._mpf_ == kmat[b][a]._mpf_, (m, a, b)
+                        want = kernel_dk(ref_cache, m, ka, kb, ca, cb)
+                        size = sum(abs(v[a] * v[b]) / family.jacobi_cache.norm(nu) for nu, v in enumerate(values))
+                        assert abs(kmat[a][b] - want) <= mpmath.ldexp(size, 7 - 2 * prec), (m, a, b)
+
+    @pytest.mark.parametrize("prec", [53, 256, 512])
+    @pytest.mark.parametrize("which", range(4))
+    def test_monomial_s_is_its_sum_rounded_once(self, all_products, which, prec):
+        # [x^k] S_m holds sum_nu a_nu [x^k] P_nu, with P_nu at 2p + 256 bits,
+        # to 2^4 2^-2p of sum_nu |a_nu [x^k] P_nu|.
+        product = all_products[which]
+        with mp.workprec(prec):
+            family = build_family(product, 24)
+        with mp.workprec(2 * prec + 256):
+            ref_cache = build_jacobi(product.jacobi, 24)
+            for m in range(1, 25):
+                row, sm = family.jacobi_coeffs(m), family.poly(m)
+                for k in range(m + 1):
+                    terms = [a * ref_cache.poly(nu).coeff(k) for nu, a in enumerate(row) if nu >= k]
+                    want, size = mpmath.fsum(terms), mpmath.fsum(terms, absolute=True)
+                    assert abs(sm.coeff(k) - want) <= mpmath.ldexp(size, 4 - 2 * prec), (m, k)
+
     def test_table_by_recurrence_at_large_beta(self):
         # alpha = 0, beta = 100, c = 2: Horner's rule on the monomial P_m
         # keeps about 67 of the 77 digits at 256 bits, the differentiated
